@@ -72,8 +72,10 @@ bench-short:
 # into 1/16/128 live subscribers) and the PR 9 loadtest mix (client-side
 # p50/p95/p99 + shed/error rates against a booted server, via the smoke
 # script in BENCH=1 mode); since PR 10 the embed suite also covers the
-# wirelength accumulator inside the fused pass (same 8 allocs/op budget);
-# see EXPERIMENTS.md for the recorded numbers.
+# wirelength accumulator inside the fused pass (same 8 allocs/op budget),
+# and since PR 13 a multi-worker Measure shares one link-load vector, so
+# its B/op no longer scales with the worker count; see EXPERIMENTS.md for
+# the recorded numbers.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \
@@ -82,7 +84,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \
 	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; \
 	  BENCH=1 sh scripts/loadtest_smoke.sh; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+	  | $(GO) run ./cmd/benchjson > BENCH_PR13.json
 
 # Build embedserver, boot it on a random port, hit /healthz and /v1/embed,
 # and check it drains cleanly on SIGTERM.

@@ -255,43 +255,51 @@ func (e *Embedding) verifyCommon() error {
 				e.Guest.Coord(i), h, e.N)
 		}
 	}
+	if e.Paths == nil {
+		return nil
+	}
+	// Every family enumerates each guest edge once, so the pinned paths all
+	// belong to edges exactly when the edge pass matches every one of them.
 	var bad error
-	if e.Paths != nil {
-		e.eachGuestEdge(func(ed mesh.Edge) {
-			if bad != nil {
+	matched := 0
+	e.eachGuestEdge(func(ed mesh.Edge) {
+		if bad != nil {
+			return
+		}
+		p, ok := e.Paths[Key(ed.U, ed.V)]
+		if !ok {
+			return
+		}
+		matched++
+		if err := p.Validate(e.N); err != nil {
+			bad = fmt.Errorf("embed: edge (%d,%d): %v", ed.U, ed.V, err)
+			return
+		}
+		if len(p) == 0 || p[0] != e.Map[ed.U] || p[len(p)-1] != e.Map[ed.V] {
+			// also accept the reversed orientation
+			if len(p) == 0 || p[0] != e.Map[ed.V] || p[len(p)-1] != e.Map[ed.U] {
+				bad = fmt.Errorf("embed: edge (%d,%d): path endpoints do not match images", ed.U, ed.V)
 				return
-			}
-			p, ok := e.Paths[Key(ed.U, ed.V)]
-			if !ok {
-				return
-			}
-			if err := p.Validate(e.N); err != nil {
-				bad = fmt.Errorf("embed: edge (%d,%d): %v", ed.U, ed.V, err)
-				return
-			}
-			if len(p) == 0 || p[0] != e.Map[ed.U] || p[len(p)-1] != e.Map[ed.V] {
-				// also accept the reversed orientation
-				if len(p) == 0 || p[0] != e.Map[ed.V] || p[len(p)-1] != e.Map[ed.U] {
-					bad = fmt.Errorf("embed: edge (%d,%d): path endpoints do not match images", ed.U, ed.V)
-					return
-				}
-			}
-			d := cube.Dist(e.Map[ed.U], e.Map[ed.V])
-			if p.Len() < d || (!e.AllowLongPaths && p.Len() != d) {
-				bad = fmt.Errorf("embed: edge (%d,%d): path length %d vs distance %d", ed.U, ed.V, p.Len(), d)
-			}
-		})
-		// Reject paths for non-existent edges: they would silently skew
-		// congestion accounting.
-		valid := make(map[EdgeKey]bool, e.NumGuestEdges())
-		e.eachGuestEdge(func(ed mesh.Edge) { valid[Key(ed.U, ed.V)] = true })
-		for k := range e.Paths {
-			if !valid[k] {
-				return fmt.Errorf("embed: pinned path for non-edge (%d,%d)", k.U, k.V)
 			}
 		}
+		d := cube.Dist(e.Map[ed.U], e.Map[ed.V])
+		if p.Len() < d || (!e.AllowLongPaths && p.Len() != d) {
+			bad = fmt.Errorf("embed: edge (%d,%d): path length %d vs distance %d", ed.U, ed.V, p.Len(), d)
+		}
+	})
+	if bad != nil || matched == len(e.Paths) {
+		return bad
 	}
-	return bad
+	// Some pinned path belongs to no edge; it would silently skew congestion
+	// accounting.  Only this error path pays for the edge set that names it.
+	valid := make(map[EdgeKey]bool, e.NumGuestEdges())
+	e.eachGuestEdge(func(ed mesh.Edge) { valid[Key(ed.U, ed.V)] = true })
+	for k := range e.Paths {
+		if !valid[k] {
+			return fmt.Errorf("embed: pinned path for non-edge (%d,%d)", k.U, k.V)
+		}
+	}
+	return nil
 }
 
 // RealizeMinCongestion pins, for every guest edge whose images are at

@@ -1,10 +1,8 @@
 package embed
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/cube"
 	"repro/internal/host"
 )
 
@@ -19,24 +17,6 @@ func TestMeasureOnHostAgreesWithFused(t *testing.T) {
 		got, want := e.MeasureOnHost(bc), e.Measure()
 		if got != want {
 			t.Errorf("%s:\n host  %+v\n fused %+v", name, got, want)
-		}
-	}
-}
-
-// TestScanBlockGenericAgreesWithFused pins the inlined tally body in the
-// scanBlock closure against tallyEdge (which the registry-dispatched
-// generic fallback uses): the two are deliberate copies for speed and must
-// produce identical tallies on every family, loads included.
-func TestScanBlockGenericAgreesWithFused(t *testing.T) {
-	for name, e := range metricsTestEmbeddings() {
-		nodes := e.Guest.Nodes()
-		fused := newEdgeStats(e.Guest.Dims(), true, cube.NumLinks(e.N))
-		e.scanBlock(0, nodes, &fused)
-		generic := newEdgeStats(e.Guest.Dims(), true, cube.NumLinks(e.N))
-		e.scanBlockGeneric(0, nodes, &generic)
-		if !reflect.DeepEqual(fused, generic) {
-			t.Errorf("%s: fused and generic tallies diverged:\n fused   %+v\n generic %+v",
-				name, fused, generic)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cube"
@@ -17,15 +18,17 @@ import (
 // every edge-derived quantity of Metrics (dilation, average dilation,
 // per-axis average dilation, link loads, congestion, average congestion) at
 // once, sharded over contiguous guest-node blocks via the internal/sweep
-// worker pool.  All tallies are integers and per-worker partial results are
-// merged in block order, so every worker count produces bit-identical
-// metrics.  The common unpinned-edge case walks the e-cube route bit by bit,
-// accumulating cube.LinkIndex directly, and touches no heap at all.
+// worker pool.  All tallies are integers: the scalar and per-axis partials
+// are merged in block order, and the link loads of a multi-worker pass go
+// into one shared vector by atomic adds, so every worker count produces
+// bit-identical metrics and a pass holds one load vector whatever its
+// worker count.  The common unpinned-edge case walks the e-cube route bit
+// by bit, accumulating cube.LinkIndex directly, and touches no heap at all.
 
 const (
 	// parallelEdgeThreshold is the guest edge count below which implicit
 	// metric calls run the fused pass on the caller's goroutine: for small
-	// meshes worker startup and per-worker load vectors would dominate.
+	// meshes worker startup would dominate.
 	parallelEdgeThreshold = 1 << 14
 
 	// denseNodeLimit bounds the dense []int32 tables (size 2^N) used by
@@ -42,17 +45,16 @@ type edgeStats struct {
 	axisSum []int64 // per guest axis, for AxisAvgDilation
 	axisCnt []int64
 	loads   []int32 // per cube.LinkIndex; nil when loads were not requested
+	shared  bool    // loads is shared with concurrent workers: add atomically
 }
 
-func newEdgeStats(axes int, wantLoads bool, numLinks int) edgeStats {
-	st := edgeStats{axisSum: make([]int64, axes), axisCnt: make([]int64, axes)}
-	if wantLoads {
-		st.loads = make([]int32, numLinks)
-	}
-	return st
+func newEdgeStats(axes int, loads []int32, shared bool) edgeStats {
+	return edgeStats{axisSum: make([]int64, axes), axisCnt: make([]int64, axes), loads: loads, shared: shared}
 }
 
-// merge folds part into st; all tallies are order-independent integers.
+// merge folds part's scalar and per-axis tallies into st; all are
+// order-independent integers.  The loads need no merge: the workers of one
+// pass add into the same vector.
 func (st *edgeStats) merge(part edgeStats) {
 	st.edges += part.edges
 	st.dilSum += part.dilSum
@@ -63,8 +65,14 @@ func (st *edgeStats) merge(part edgeStats) {
 		st.axisSum[i] += part.axisSum[i]
 		st.axisCnt[i] += part.axisCnt[i]
 	}
-	for i := range st.loads {
-		st.loads[i] += part.loads[i]
+}
+
+// addLoad counts one traversal of link i.
+func (st *edgeStats) addLoad(i int) {
+	if st.shared {
+		atomic.AddInt32(&st.loads[i], 1)
+	} else {
+		st.loads[i]++
 	}
 }
 
@@ -80,7 +88,9 @@ func (e *Embedding) autoWorkers() int {
 // fusedPass runs the fused edge traversal.  workers < 1 selects the
 // automatic policy; an explicit count is honored as-is (the result is
 // identical either way).  wantLoads controls whether the per-link load
-// vector is accumulated — dilation-only callers skip it.
+// vector is accumulated — dilation-only callers skip it.  The pass
+// allocates at most one load vector: with w > 1 workers they all add into
+// it atomically.
 //
 // When ctx carries an active obs span the pass runs under a "fused-pass"
 // child span with one "shard N" span per node block (nested under the sweep
@@ -98,11 +108,14 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 		w = nodes
 	}
 	axes := e.Guest.Dims()
-	numLinks := cube.NumLinks(e.N)
+	var loads []int32
+	if wantLoads {
+		loads = make([]int32, cube.NumLinks(e.N))
+	}
 	sctx, span := obs.Start(ctx, "fused-pass")
 	if span == nil {
 		if w == 1 {
-			st := newEdgeStats(axes, wantLoads, numLinks)
+			st := newEdgeStats(axes, loads, false)
 			e.scanBlock(0, nodes, &st)
 			return st
 		}
@@ -110,7 +123,7 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 		// of nodes [b·nodes/w, (b+1)·nodes/w), so the blocks partition the
 		// edge set (see mesh.EachEdgeRange).
 		parts := sweep.Map(w, w, func(b int) edgeStats {
-			st := newEdgeStats(axes, wantLoads, numLinks)
+			st := newEdgeStats(axes, loads, true)
 			e.scanBlock(b*nodes/w, (b+1)*nodes/w, &st)
 			return st
 		})
@@ -124,7 +137,7 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 	span.SetAttr("shards", w)
 	span.SetAttr("want_loads", wantLoads)
 	if w == 1 {
-		st := newEdgeStats(axes, wantLoads, numLinks)
+		st := newEdgeStats(axes, loads, false)
 		t0 := time.Now()
 		e.scanBlock(0, nodes, &st)
 		span.SetAttr("scan_ns", time.Since(t0).Nanoseconds())
@@ -136,7 +149,7 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 		_, sp := obs.Start(wctx, fmt.Sprintf("shard %d", b))
 		sp.SetAttr("nodes_lo", lo)
 		sp.SetAttr("nodes_hi", hi)
-		st := newEdgeStats(axes, wantLoads, numLinks)
+		st := newEdgeStats(axes, loads, true)
 		e.scanBlock(lo, hi, &st)
 		sp.SetAttr("edges", st.edges)
 		sp.End()
@@ -152,20 +165,16 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 
 // scanBlock tallies the edges generated by guest nodes [lo, hi) into st.
 //
-// The seed families dispatch through direct method calls so the visit
-// closure stays on the stack: escape analysis only trusts the "fn does not
-// escape" summary of a known callee, and the analysis is flow-insensitive,
-// so even one indirect registry call in a reachable branch would heap-spill
-// the closure for every family.  The branches call the exact enumerations
-// the registry registers — MeasureOnHost, which does go through the
-// registry, pins the agreement — and any family beyond the seed set takes
-// scanBlockGeneric at the cost of two allocations per block.
+// Every registered family dispatches through a direct method call so the
+// visit closure stays on the stack: escape analysis only trusts the "fn
+// does not escape" summary of a known callee, and the analysis is
+// flow-insensitive, so even one indirect registry call in a reachable
+// branch would heap-spill the closure for every family.  The branches call
+// the exact enumerations the registry registers — MeasureOnHost, which
+// does go through the registry, pins the agreement — and a family without
+// a branch here is a programming error.
 func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 	n := e.N
-	// This closure body duplicates tallyEdge on purpose: routing it through
-	// the method would add one static call per edge (~8% on 64³), since the
-	// tally is too large to inline.  TestScanBlockGenericAgreesWithFused
-	// pins the copy against tallyEdge — keep the two in sync.
 	visit := func(ed mesh.Edge) {
 		var d int
 		var pinned cube.Path
@@ -177,7 +186,7 @@ func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 			d = pinned.Len()
 			if st.loads != nil {
 				for i := 1; i < len(pinned); i++ {
-					st.loads[cube.LinkIndex(cube.LinkBetween(pinned[i-1], pinned[i]), n)]++
+					st.addLoad(cube.LinkIndex(cube.LinkBetween(pinned[i-1], pinned[i]), n))
 				}
 			}
 		} else {
@@ -191,7 +200,7 @@ func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 				for diff != 0 {
 					bit := diff & -diff
 					l := cube.Link{Lo: cube.Node(cur &^ bit), Dim: mathbits.TrailingZeros64(bit)}
-					st.loads[cube.LinkIndex(l, n)]++
+					st.addLoad(cube.LinkIndex(l, n))
 					cur ^= bit
 					diff ^= bit
 				}
@@ -215,78 +224,15 @@ func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 	case guest.Tree:
 		e.Guest.EachTreeEdgeRange(lo, hi, visit)
 	default:
-		e.scanBlockGeneric(lo, hi, st)
+		panic(fmt.Sprintf("embed: no fused edge enumeration for guest family %v", e.Family))
 	}
-}
-
-// scanBlockGeneric is the registry-dispatched fallback for families without
-// a monomorphic branch in scanBlock; the indirect call makes its closure
-// escape, which is why it is kept out of the seed families' path.  It
-// tallies into its own (heap-spilled) stats sharing the slice backings and
-// folds the scalars back, so st itself never flows into the indirect call
-// and stays on the caller's stack for the seed families.
-func (e *Embedding) scanBlockGeneric(lo, hi int, st *edgeStats) {
-	part := &edgeStats{axisSum: st.axisSum, axisCnt: st.axisCnt, loads: st.loads}
-	guest.Get(e.Family).EachEdgeRange(e.Guest, lo, hi, func(ed mesh.Edge) {
-		e.tallyEdge(ed, part)
-	})
-	st.edges += part.edges
-	st.dilSum += part.dilSum
-	if part.maxDil > st.maxDil {
-		st.maxDil = part.maxDil
-	}
-}
-
-// tallyEdge folds one guest edge into the fused tallies: its dilation, the
-// per-axis sums, and (when requested) the per-link loads along the realized
-// path — the pinned path if one exists, the e-cube route otherwise.  The
-// scanBlock closure inlines a copy of this body for the seed families (see
-// the comment there); TestScanBlockGenericAgreesWithFused keeps them honest.
-func (e *Embedding) tallyEdge(ed mesh.Edge, st *edgeStats) {
-	n := e.N
-	var d int
-	var pinned cube.Path
-	ok := false
-	if e.Paths != nil {
-		pinned, ok = e.Paths[Key(ed.U, ed.V)]
-	}
-	if ok {
-		d = pinned.Len()
-		if st.loads != nil {
-			for i := 1; i < len(pinned); i++ {
-				st.loads[cube.LinkIndex(cube.LinkBetween(pinned[i-1], pinned[i]), n)]++
-			}
-		}
-	} else {
-		cur := uint64(e.Map[ed.U])
-		diff := cur ^ uint64(e.Map[ed.V])
-		d = mathbits.OnesCount64(diff)
-		if st.loads != nil {
-			// Walk the e-cube route bit by bit: each differing bit is
-			// one link, whose lower endpoint is cur with that bit
-			// cleared.  No path or link values are materialized.
-			for diff != 0 {
-				bit := diff & -diff
-				l := cube.Link{Lo: cube.Node(cur &^ bit), Dim: mathbits.TrailingZeros64(bit)}
-				st.loads[cube.LinkIndex(l, n)]++
-				cur ^= bit
-				diff ^= bit
-			}
-		}
-	}
-	st.edges++
-	st.dilSum += int64(d)
-	if d > st.maxDil {
-		st.maxDil = d
-	}
-	st.axisSum[ed.Axis] += int64(d)
-	st.axisCnt[ed.Axis]++
 }
 
 // MeasureParallel computes all metrics with an explicit worker count
 // (< 1 means the automatic policy of Measure).  Because the fused pass
-// accumulates integers and merges per-worker partials in block order, the
-// result is bit-identical for every worker count.
+// accumulates integers only, the result is bit-identical for every worker
+// count; the memory it takes is one load vector, 4·N·2^(N−1) bytes, for
+// every worker count.
 func (e *Embedding) MeasureParallel(workers int) Metrics {
 	return e.MeasureParallelCtx(context.Background(), workers)
 }

@@ -27,8 +27,11 @@ func benchFamily(s mesh.Shape, f guest.Family) *Embedding {
 // (identity reshaping of the dense index into the 8-cube) so that many edges
 // land at distance 2..4 and RealizeMinCongestion pins explicit paths — the
 // pinned-path side of the metrics hot loop.
-func benchPinned() *Embedding {
-	s := mesh.Shape{3, 5, 17}
+func benchPinned() *Embedding { return pinnedIdentity(mesh.Shape{3, 5, 17}) }
+
+// pinnedIdentity embeds s by the identity reshaping of its dense index into
+// the minimal cube and pins min-congestion paths for its distance-2 edges.
+func pinnedIdentity(s mesh.Shape) *Embedding {
 	e := New(s, s.MinCubeDim())
 	for i := range e.Map {
 		e.Map[i] = cube.Node(i)

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -85,13 +86,14 @@ func referenceMeasure(e *Embedding) Metrics {
 // pinned-path embeddings from RealizeMinCongestion.
 func metricsTestEmbeddings() map[string]*Embedding {
 	out := map[string]*Embedding{
-		"gray-17":      Gray(mesh.Shape{17}),
-		"gray-3x5":     Gray(mesh.Shape{3, 5}),
-		"gray-5x6x7":   Gray(mesh.Shape{5, 6, 7}),
-		"gray-2x3x4x5": Gray(mesh.Shape{2, 3, 4, 5}),
-		"gray-16x16":   Gray(mesh.Shape{16, 16}),
-		"identity":     Identity(),
-		"pinned":       benchPinned(),
+		"gray-17":        Gray(mesh.Shape{17}),
+		"gray-3x5":       Gray(mesh.Shape{3, 5}),
+		"gray-5x6x7":     Gray(mesh.Shape{5, 6, 7}),
+		"gray-2x3x4x5":   Gray(mesh.Shape{2, 3, 4, 5}),
+		"gray-16x16":     Gray(mesh.Shape{16, 16}),
+		"identity":       Identity(),
+		"pinned":         benchPinned(),
+		"pinned-9x10x12": pinnedIdentity(mesh.Shape{9, 10, 12}),
 	}
 	torus := Gray(mesh.Shape{6, 10})
 	torus.Family = guest.Torus
@@ -223,26 +225,48 @@ func TestAxisAvgDilationFused(t *testing.T) {
 	}
 }
 
-// TestConcurrentMeasureSharedEmbedding hammers one shared Embedding (with a
-// pinned-path map, so concurrent map reads are exercised) from many
-// goroutines; run under -race via the Makefile race target.
+// TestConcurrentMeasureSharedEmbedding hammers shared Embeddings (with
+// pinned-path maps, so concurrent map reads and the shared load vector's
+// atomic adds are exercised) from many goroutines, each running its own
+// multi-worker passes; run under -race via the Makefile race target.
 func TestConcurrentMeasureSharedEmbedding(t *testing.T) {
-	e := benchPinned()
-	want := e.Measure()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if got := e.MeasureParallel(w%4 + 1); got != want {
-					t.Errorf("concurrent measure diverged: %v != %v", got, want)
-					return
+	for _, e := range []*Embedding{benchPinned(), pinnedIdentity(mesh.Shape{9, 10, 12})} {
+		want := e.MeasureParallel(1)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if got := e.MeasureParallel(w%4 + 2); got != want {
+						t.Errorf("%s: concurrent measure diverged: %v != %v", e.Guest, got, want)
+						return
+					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+}
+
+// TestMeasureMemoryIndependentOfWorkers pins the shared load vector: a
+// multi-worker Measure allocates one link-load vector (4·N·2^(N−1) bytes)
+// plus LoadFactor's 2^N counters, not one load vector per worker.
+func TestMeasureMemoryIndependentOfWorkers(t *testing.T) {
+	e := Gray(mesh.Shape{24, 24, 24})
+	limit := 4*uint64(cube.NumLinks(e.N)) + 4<<uint(e.N) + 16<<10
+	e.MeasureParallel(2)
+	var before, after runtime.MemStats
+	for _, w := range []int{2, 4, 8} {
+		runtime.ReadMemStats(&before)
+		e.MeasureParallel(w)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("workers=%d: Measure allocated %d bytes, limit %d", w, got, limit)
+		} else {
+			t.Logf("workers=%d: %d bytes (limit %d)", w, got, limit)
+		}
+	}
 }
 
 // TestDenseVerifyMatchesMap checks that the dense injectivity check accepts

@@ -38,7 +38,10 @@
 // serves is invariant under guest axis relabeling (the multiset of guest
 // edges' endpoint images is unchanged), so a hit for a permuted request only
 // rewrites the guest string and — when the map is requested — relabels the
-// node map; it never re-measures.
+// node map; it never re-measures.  An embed entry keeps only what it serves:
+// the metrics, the plan fields and the canonical-order node map as uint32
+// images.  The built embedding, with any pinned paths of its direct or
+// solver factors, is dropped once it is verified and measured.
 package server
 
 import (
@@ -384,7 +387,7 @@ type cachedResult struct {
 	cubeDim  int
 	measured bool
 	metrics  embed.Metrics
-	emb      *embed.Embedding // nil for plan-only entries
+	hostMap  []uint32         // canonical-order node map; nil for plan-only entries
 	compare  *CompareResponse // only for compare entries
 }
 
@@ -568,12 +571,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	resp.Metrics.Guest = sh.String() // metrics are relabeling-invariant
 	resp.Certificate = s.countCert(measuredCertificate(fam, sh, resp.Metrics))
 	if req.IncludeMap {
-		ser := res.emb.Serial()
-		if !sh.Equal(res.emb.Guest) {
-			ser.Map = relabelMap(res.emb, sh)
-		}
-		ser.Guest = sh.String()
-		resp.Embedding = (*api.EmbeddingSerial)(ser)
+		resp.Embedding = servedEmbedding(fam, canon, sh, res)
 	}
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{RequestID: meta.id}
@@ -585,7 +583,8 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// computeEmbed builds and measures the canonical guest under one mode.
+// computeEmbed builds and measures the canonical guest under one mode.  The
+// entry keeps only the narrowed node map of the embedding.
 func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.Shape, mode string) (*cachedResult, error) {
 	var res *cachedResult
 	var e *embed.Embedding
@@ -605,26 +604,70 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 		e = p.Build()
 		bspan.End()
 	}
+	m, err := narrowMap(e)
+	if err != nil {
+		return nil, err
+	}
 	_, vspan := obs.Start(ctx, "verify")
-	err := e.Verify()
+	err = e.Verify()
 	vspan.End()
 	if err != nil {
 		return nil, fmt.Errorf("embedserver: built an invalid embedding: %w", err)
 	}
 	res.metrics = e.MeasureParallelCtx(ctx, s.cfg.Workers)
 	res.measured = true
-	res.emb = e
+	res.hostMap = m
 	return res, nil
+}
+
+// narrowMap narrows the embedding's node map to the uint32 images a cache
+// entry keeps.  Under the server's node cap the largest cube any
+// construction reaches is 30, so the N > 32 error is a guard, not a limit
+// a request can meet.
+func narrowMap(e *embed.Embedding) ([]uint32, error) {
+	if e.N > 32 {
+		return nil, fmt.Errorf("embedserver: a %d-cube node map does not fit 32-bit images", e.N)
+	}
+	m := make([]uint32, len(e.Map))
+	for i, h := range e.Map {
+		m[i] = uint32(h)
+	}
+	return m, nil
+}
+
+// servedEmbedding is the include_map form of a cached embed entry in the
+// request's axis order: byte-identical to the Serial of the built
+// embedding, relabeled.  Family, wrap marker and cube come from the
+// measured metrics, which were taken from that embedding.
+func servedEmbedding(fam guest.Family, canon, want mesh.Shape, res *cachedResult) *api.EmbeddingSerial {
+	famName := res.metrics.Family
+	if famName == guest.Mesh.String() {
+		famName = ""
+	}
+	return &api.EmbeddingSerial{
+		Version: embed.SchemaVersion,
+		Guest:   want.String(),
+		Family:  famName,
+		Wrap:    res.metrics.Wrap,
+		Cube:    res.metrics.CubeDim,
+		Map:     relabelMap(fam, res.hostMap, canon, want),
+	}
 }
 
 // relabelMap permutes the canonical-order node map into the requested axis
 // order (a pure guest relabeling — images, and therefore all metrics, are
-// unchanged).  The axis map comes from the embedding's own family, whose
-// canonical form may keep some axes in place (the cylinder's wrapped last
-// axis, every tree axis).
-func relabelMap(e *embed.Embedding, want mesh.Shape) []uint64 {
-	_, axmap := guest.Get(e.Family).Canonical(want)
-	out := make([]uint64, len(e.Map))
+// unchanged).  The axis map comes from the family, whose canonical form may
+// keep some axes in place (the cylinder's wrapped last axis, every tree
+// axis).
+func relabelMap(fam guest.Family, m []uint32, canon, want mesh.Shape) []uint64 {
+	out := make([]uint64, len(m))
+	if want.Equal(canon) {
+		for i, h := range m {
+			out[i] = uint64(h)
+		}
+		return out
+	}
+	_, axmap := guest.Get(fam).Canonical(want)
 	cw := make([]int, want.Dims())
 	cc := make([]int, want.Dims())
 	for idx := range out {
@@ -632,7 +675,7 @@ func relabelMap(e *embed.Embedding, want mesh.Shape) []uint64 {
 		for j := range cc {
 			cc[j] = cw[axmap[j]]
 		}
-		out[idx] = uint64(e.Map[e.Guest.Index(cc)])
+		out[idx] = uint64(m[canon.Index(cc)])
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/guest"
 	"repro/internal/mesh"
 )
 
@@ -127,6 +128,86 @@ func TestEmbedPermutedHit(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Misses != 1 {
 		t.Fatalf("misses = %d, want 1 (permutations share one entry)", st.Misses)
+	}
+}
+
+// TestEmbedIncludeMapPinnedPaths serves include_map for a plan whose direct
+// factor pins explicit host paths.  The cache entry keeps only the node
+// map, so on a miss, an identical-order hit and a permuted hit the served
+// map must be the fresh build's map relabeled into the request's axis order.
+func TestEmbedIncludeMapPinnedPaths(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	canon := mesh.Shape{3, 5, 7}
+	p, err := s.Planner().TryPlanGuest(guest.Mesh, canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(p.String(), "[direct]") {
+		t.Fatalf("plan %s has no direct factor", p)
+	}
+	fresh := p.Build()
+	if len(fresh.Paths) == 0 {
+		t.Fatalf("plan %s pins no paths", p)
+	}
+	for _, tc := range []struct{ shape, source string }{
+		{"3x5x7", "computed"},
+		{"3x5x7", "cache"},
+		{"7x3x5", "cache"},
+	} {
+		rec, _ := post(t, h, "/v1/embed", fmt.Sprintf(`{"shape":%q,"include_map":true}`, tc.shape))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.shape, rec.Code, rec.Body.String())
+		}
+		var resp EmbedResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		ser := resp.Embedding
+		if resp.Source != tc.source || resp.Plan != p.String() || ser == nil {
+			t.Fatalf("%s: source %q plan %q embedding %v", tc.shape, resp.Source, resp.Plan, ser)
+		}
+		if ser.Version != embed.SchemaVersion || ser.Guest != tc.shape || ser.Family != "" ||
+			ser.Wrap || ser.Cube != fresh.N {
+			t.Fatalf("%s: serial header %+v", tc.shape, ser)
+		}
+		want, _ := mesh.ParseShape(tc.shape)
+		if len(ser.Map) != want.Nodes() {
+			t.Fatalf("%s: map has %d of %d nodes", tc.shape, len(ser.Map), want.Nodes())
+		}
+		// The axis lengths are distinct, so each canonical axis is the
+		// request axis of the same length.
+		cc := make([]int, canon.Dims())
+		for idx := range ser.Map {
+			c := want.Coord(idx)
+			for i, l := range want {
+				for j, cl := range canon {
+					if cl == l {
+						cc[j] = c[i]
+					}
+				}
+			}
+			if img := uint64(fresh.Map[canon.Index(cc)]); ser.Map[idx] != img {
+				t.Fatalf("%s: node %v served at %d, fresh build has %d", tc.shape, c, ser.Map[idx], img)
+			}
+		}
+	}
+	if st := s.CacheStats(); st.Misses != 1 {
+		t.Fatalf("misses = %d, want 1", st.Misses)
+	}
+}
+
+// TestNarrowMapGuard pins the uint32 cache map's guard: a cube above 32
+// dimensions is refused, and 32-bit images survive the narrowing.
+func TestNarrowMapGuard(t *testing.T) {
+	if _, err := narrowMap(embed.New(mesh.Shape{2}, 33)); err == nil {
+		t.Fatal("33-cube map narrowed to uint32")
+	}
+	e := embed.New(mesh.Shape{2}, 32)
+	e.Map[1] = 1<<32 - 1
+	m, err := narrowMap(e)
+	if err != nil || len(m) != 2 || m[0] != 0 || m[1] != 1<<32-1 {
+		t.Fatalf("32-cube map narrowed to %v, %v", m, err)
 	}
 }
 
@@ -281,7 +362,7 @@ func TestShed429(t *testing.T) {
 	}
 	s.flights.mu.Lock()
 	c := s.flights.m["embed|decomposition|3x5x7"]
-	c.val = &cachedResult{metrics: embed.Metrics{}, emb: embed.New(mesh.Shape{3, 5, 7}, 7)}
+	c.val = &cachedResult{metrics: embed.Metrics{}, hostMap: make([]uint32, 3*5*7)}
 	delete(s.flights.m, "embed|decomposition|3x5x7")
 	s.flights.mu.Unlock()
 	close(release)
