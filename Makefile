@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
+.PHONY: check vet build test race bench bench-short bench-json bounds-check unused-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
 
-check: vet build gen-check test race bounds-check bench-short serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
+check: vet build gen-check unused-check test race bounds-check bench-short serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -10,6 +10,18 @@ check: vet build gen-check test race bounds-check bench-short serve-smoke obs-sm
 # shape, not a buried test diff.
 bounds-check:
 	$(GO) test -count=1 -run 'TestKnownOptimalFloors|TestPlannerAchievesKnownOptimal|TestGrayBaselineStaysOptimalOnGrayMinimalMeshes' ./internal/bounds
+
+# The regrowth gate: fail when a package under internal/ has no importer
+# outside tests anywhere in the module (go list's .Imports excludes test
+# files) — code nothing runs is deleted, not kept for later.
+unused-check:
+	@imported=$$($(GO) list -f '{{join .Imports "\n"}}' ./... | sort -u) || exit 1; \
+	pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	unused=$$(for p in $$pkgs; do echo "$$imported" | grep -qx "$$p" || echo "$$p"; done); \
+	if [ -n "$$unused" ]; then \
+		echo "unused-check: no non-test importer for:"; echo "$$unused"; \
+		exit 1; \
+	fi
 
 # Regenerate the enumgen boilerplate (strategy names, plan kinds, guest
 # families).
@@ -64,7 +76,7 @@ bench-short:
 # pairs (Measure vs MeasureTraced, cached handler vs tracing-off vs
 # ?debug=trace), the PR 5 batch-job end-to-end throughput (submit →
 # chunks → checkpoints → finish, reported as shapes/sec), the PR 7 plan
-# tiers (closed-form classifier, census-mode classification throughput,
+# tiers (closed-form classifier,
 # artifact lookup, and the resolver-level closed_form / artifact / compute
 # split), and the PR 8 fabric dispatch scaling (coordinator chunk throughput
 # against 1/2/4 fixed-service-time peers — the peers=2/peers=1 chunks/sec

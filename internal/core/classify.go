@@ -85,39 +85,3 @@ func ClassifyGuest(f guest.Family, s mesh.Shape) (*Plan, bool) {
 	}
 	return nil, false
 }
-
-// GrayMinimalCount counts the ordered triples (ℓ1, ℓ2, ℓ3) with every axis
-// in 1..2^maxN that the classifier claims (the Gray-minimal, dilation-1
-// stratum) — the census-mode entry point.  It never enumerates shapes:
-// within a power-of-two block of the third axis, ⌈ℓ3⌉₂ is constant and the
-// claim condition ⌈ℓ1⌉₂·⌈ℓ2⌉₂·⌈ℓ3⌉₂ = ⌈ℓ1ℓ2ℓ3⌉₂ reduces to an interval
-// test ℓ1ℓ2ℓ3 ∈ (X/2, X], so each (ℓ1, ℓ2, block) contributes a closed-form
-// count.  O(4^maxN · maxN) for a 8^maxN-shape domain — amortized far below
-// one operation per shape.
-func GrayMinimalCount(maxN int) uint64 {
-	n := uint64(1) << uint(maxN)
-	var total uint64
-	for a := uint64(1); a <= n; a++ {
-		c2a := bits.CeilPow2(a)
-		for b := uint64(1); b <= n; b++ {
-			ab := a * b
-			x := c2a * bits.CeilPow2(b) // running X = ⌈a⌉₂⌈b⌉₂⌈block⌉₂
-			// Blocks of the third axis: {1}, then (2^k, 2^(k+1)].
-			lo, hi := uint64(1), uint64(1)
-			for {
-				// Claimed c in this block satisfy c ∈ (X/(2ab), X/ab].
-				cHi := min(x/ab, hi)
-				cLo := max(x/(2*ab)+1, lo)
-				if cHi >= cLo {
-					total += cHi - cLo + 1
-				}
-				if hi >= n {
-					break
-				}
-				lo, hi = hi+1, hi*2
-				x *= 2
-			}
-		}
-	}
-	return total
-}

@@ -4,22 +4,12 @@ import (
 	"repro/internal/mesh"
 )
 
-// SortedShapes lists every shape with dims axes, 1 ≤ a₁ ≤ … ≤ a_k ≤ maxAxis
-// and at most maxNodes nodes, in lexicographic order.  It is the enumeration
-// behind `embedctl sweep` and the plansweep batch job; both shard it with
-// SortedShapesFrom so a fixed first axis is one deterministic unit of work.
-func SortedShapes(dims, maxAxis, maxNodes int) []mesh.Shape {
-	var out []mesh.Shape
-	for first := 1; first <= maxAxis; first++ {
-		out = append(out, SortedShapesFrom(first, dims, maxAxis, maxNodes)...)
-	}
-	return out
-}
-
-// SortedShapesFrom lists the SortedShapes slice whose first axis is exactly
-// `first`, in lexicographic order.  Concatenating first = 1..maxAxis
-// reproduces SortedShapes exactly, which is what makes a first-axis chunking
-// of the sweep resume-safe: the record stream is independent of how the
+// SortedShapesFrom lists every shape with dims axes, first = a₁ ≤ … ≤ a_k ≤
+// maxAxis and at most maxNodes nodes, in lexicographic order.  It is the
+// enumeration behind `embedctl sweep` and the plansweep batch job, which
+// shard the sweep by first axis: concatenating first = 1..maxAxis lists
+// every sorted shape, which is what makes a first-axis chunking of the
+// sweep resume-safe — the record stream is independent of how the
 // enumeration was cut.
 func SortedShapesFrom(first, dims, maxAxis, maxNodes int) []mesh.Shape {
 	if dims < 1 || first < 1 || first > maxAxis || first > maxNodes {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/stats"
 )
@@ -174,15 +173,36 @@ func TestHighDimPlannerMatchesGroupingPredicate(t *testing.T) {
 	}
 }
 
+// hypercubeBFS returns the BFS distance from src to every node of the
+// explicit n-dimensional hypercube graph (neighbors by flipping one bit).
+func hypercubeBFS(n, src int) []int {
+	dist := make([]int, 1<<uint(n))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for b := 0; b < n; b++ {
+			if v := u ^ 1<<uint(b); dist[v] < 0 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
 func TestDilationAgreesWithGraphBFS(t *testing.T) {
 	// Cross-check the Hamming-distance dilation against an independent
 	// BFS on the explicit hypercube graph.
 	for _, s := range []mesh.Shape{{3, 5}, {5, 6}, {3, 3, 3}} {
 		e := PlanShape(s, DefaultOptions).Build()
-		h := graph.Hypercube(e.N)
 		worst := 0
 		s.EachEdge(func(ed mesh.Edge) {
-			d := h.BFS(int(e.Map[ed.U]))[e.Map[ed.V]]
+			d := hypercubeBFS(e.N, int(e.Map[ed.U]))[e.Map[ed.V]]
 			if d > worst {
 				worst = d
 			}

@@ -66,15 +66,6 @@ func cacheKey(canon mesh.Shape, foldDepth int, fp string) string {
 	return canon.String() + f + fp
 }
 
-// CanonicalShape returns the axis-sorted (ascending, stable) copy of s and
-// the axis map: axmap[j] is the position in s of canonical axis j.  It is
-// the key function of the plan cache, exported so higher layers (the HTTP
-// server's result cache) can share entries across axis permutations the way
-// the planner does.
-func CanonicalShape(s mesh.Shape) (mesh.Shape, []int) {
-	return canonicalShape(s)
-}
-
 // canonicalShape returns the axis-sorted (ascending, stable) copy of s and
 // the axis map: axmap[j] is the position in s of canonical axis j.
 func canonicalShape(s mesh.Shape) (mesh.Shape, []int) {

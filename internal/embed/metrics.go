@@ -170,9 +170,9 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 // does not escape" summary of a known callee, and the analysis is
 // flow-insensitive, so even one indirect registry call in a reachable
 // branch would heap-spill the closure for every family.  The branches call
-// the exact enumerations the registry registers — MeasureOnHost, which
-// does go through the registry, pins the agreement — and a family without
-// a branch here is a programming error.
+// the exact enumerations the registry registers — the measureOnHost test
+// oracle, which does go through the registry, pins the agreement — and a
+// family without a branch here is a programming error.
 func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 	n := e.N
 	visit := func(ed mesh.Edge) {

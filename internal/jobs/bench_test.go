@@ -68,5 +68,5 @@ func BenchmarkPlanSweepJob(b *testing.B) {
 	benchJob(b, api.JobSubmitRequest{
 		Kind:      api.JobPlanSweep,
 		PlanSweep: &api.PlanSweepParams{Dims: 3, MaxAxis: 16, MaxNodes: 4096},
-	}, 688) // |SortedShapes(3, 16, 4096)|
+	}, 688) // sorted 3-D shapes, axes ≤ 16, ≤ 4096 nodes
 }

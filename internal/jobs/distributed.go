@@ -6,40 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mesh"
 	"repro/internal/stats"
 	"repro/pkg/api"
 )
 
-// distRunner extends kindRunner with the two halves of distributed
-// execution.  Every job kind implements it: the worker side packages one
-// chunk portably, the coordinator side folds shipped chunks back in index
-// order.  The single-node chunk loop is untouched — a distributed run is
-// the same runner driven by a fabric.Dispatch instead of a for loop, which
-// is why the two produce byte-identical streams.
-type distRunner interface {
-	kindRunner
-	// remote runs one chunk on a FRESH runner (worker side) and returns it
-	// in portable form: the chunk's NDJSON rows plus the aggregate delta of
-	// just this chunk (a fresh runner's post-chunk snapshot IS the delta),
-	// or position-independent plan entries for plancensus.
-	remote(ctx context.Context, chunk int) (*api.ChunkResult, error)
-	// fold merges one shipped chunk into the runner (coordinator side),
-	// appending the chunk's stream bytes to buf and returning its shape
-	// count — the distributed counterpart of runChunk, called strictly in
-	// chunk-index order.  Implementations validate before mutating, so a
-	// failed fold leaves the aggregate untouched (same contract as
-	// runChunk).
-	fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error)
-}
+// The two halves of distributed execution for every job kind: remote
+// packages one chunk portably on a fabric worker, fold merges shipped
+// chunks back on the coordinator.  runBody drives fold through a
+// fabric.Dispatch with the same commit, checkpoint and finish code as the
+// local chunk loop, which is why the two produce byte-identical streams.
 
 // remoteRows is the shared worker-side path for the row-stream kinds:
 // run the chunk into a buffer, snapshot the (fresh) aggregate as the delta.
@@ -217,129 +197,4 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 	}
 	r.minimal += minimal
 	return hi - lo, nil
-}
-
-// runBodyDistributed is runBody's distributed twin: the same checkpoint
-// restore and truncate-to-offset replay discipline, but chunks execute on
-// fabric peers and arrive through a Dispatch that folds them strictly in
-// index order on this goroutine — so the result stream, checkpoints, and
-// final aggregate are byte-identical to the single-node chunk loop.
-func (m *Manager) runBodyDistributed(ctx context.Context, j *job, r distRunner, pool *fabric.Pool) error {
-	f, err := os.OpenFile(filepath.Join(j.dir, resultsFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	total := r.chunks()
-	next, offset, shapes, retries := 0, int64(0), uint64(0), 0
-	if ck, err := readCheckpoint(j.dir); err == nil && ck != nil &&
-		ck.Version == api.JobSchemaVersion && ck.JobID == j.id {
-		if err := r.restore(ck.Agg); err == nil {
-			next, offset, shapes, retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
-		} else {
-			m.log.Warn("jobs: checkpoint aggregate rejected; restarting job from scratch",
-				"job", j.id, "err", err)
-		}
-	}
-	if err := f.Truncate(offset); err != nil {
-		return err
-	}
-	if _, err := f.Seek(offset, 0); err != nil {
-		return err
-	}
-
-	d := fabric.NewDispatch(pool, j.req, total)
-	j.mu.Lock()
-	j.chunksDone, j.chunksTotal = next, total
-	j.shapes, j.retries, j.committed = shapes, retries, offset
-	j.dispatch = d
-	j.mu.Unlock()
-	defer func() {
-		j.mu.Lock()
-		j.dispatch = nil
-		j.mu.Unlock()
-	}()
-
-	runStart := time.Now()
-	chunksAtStart, shapesAtStart := next, shapes
-	lastCkpt := next
-	folded := next
-	var buf bytes.Buffer
-	foldFn := func(res *api.ChunkResult) error {
-		buf.Reset()
-		n, err := r.fold(res, &buf)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		written := int64(buf.Len())
-		offset += written
-		shapes += n
-		folded = res.Chunk + 1
-		m.chunksDone.Add(1)
-		m.shapesDone.Add(n)
-		m.resultBytes.Add(written)
-
-		elapsed := time.Since(runStart).Seconds()
-		j.mu.Lock()
-		j.chunksDone = folded
-		j.shapes = shapes
-		j.committed = offset
-		j.retries = retries
-		if elapsed > 0 {
-			j.shapesPerSec = float64(shapes-shapesAtStart) / elapsed
-			perChunk := elapsed / float64(folded-chunksAtStart)
-			j.etaMS = int64(perChunk * float64(total-folded) * 1000)
-		}
-		j.mu.Unlock()
-
-		if hook := m.cfg.afterChunk; hook != nil {
-			if err := hook(j.id, res.Chunk); err != nil {
-				return err
-			}
-		}
-		if folded < total && folded-lastCkpt >= m.cfg.CheckpointEvery {
-			if err := m.writeCheckpointOwners(f, j, r, folded, offset, shapes, retries, d.Owners()); err != nil {
-				return err
-			}
-			lastCkpt = folded
-			m.persistStatus(j)
-		}
-		return nil
-	}
-	if err := d.Run(ctx, next, foldFn); err != nil {
-		if errors.Is(err, errAbandoned) {
-			return err // test hook: simulate a kill — no further disk writes
-		}
-		if ctx.Err() != nil {
-			m.writeCheckpointOwners(f, j, r, folded, offset, shapes, retries, nil)
-			return ctx.Err()
-		}
-		return err
-	}
-
-	// Same finish tail as runBody: checkpoint at (total, pre-finish
-	// offset), then the finish records.
-	if err := m.writeCheckpointOwners(f, j, r, total, offset, shapes, retries, nil); err != nil {
-		return err
-	}
-	buf.Reset()
-	if err := r.finish(&buf, shapes); err != nil {
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	offset += int64(buf.Len())
-	m.resultBytes.Add(int64(buf.Len()))
-	j.mu.Lock()
-	j.committed = offset
-	j.mu.Unlock()
-	return nil
 }

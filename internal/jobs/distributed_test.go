@@ -41,6 +41,22 @@ func distPool(t *testing.T, n int) *fabric.Pool {
 	return p
 }
 
+// producers lists runBody's two chunk producers: the local in-order loop,
+// and a fabric.Dispatch over two in-process Loopback workers.  setup
+// configures cfg for the producer and returns req as it should be submitted.
+var producers = []struct {
+	name  string
+	setup func(t *testing.T, cfg *Config, req api.JobSubmitRequest) api.JobSubmitRequest
+}{
+	{"local", func(t *testing.T, cfg *Config, req api.JobSubmitRequest) api.JobSubmitRequest {
+		return req
+	}},
+	{"distributed", func(t *testing.T, cfg *Config, req api.JobSubmitRequest) api.JobSubmitRequest {
+		cfg.Fabric = distPool(t, 2)
+		return distributed(req)
+	}},
+}
+
 func distributed(req api.JobSubmitRequest) api.JobSubmitRequest {
 	req.Distributed = true
 	return req

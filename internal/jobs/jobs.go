@@ -96,8 +96,8 @@ type Config struct {
 	Planner *core.Planner
 	// Fabric, when set, enables distributed jobs: submissions with
 	// "distributed": true shard their chunk range across the pool's peers
-	// (falling back to runBody — byte-identically — if a resumed job finds
-	// no pool configured).
+	// (falling back to the local chunk loop — byte-identically — if a
+	// resumed job finds no pool configured).
 	Fabric *fabric.Pool
 	// Logger receives job lifecycle records; nil means slog.Default().
 	Logger *slog.Logger
@@ -627,14 +627,7 @@ func (m *Manager) runJob(j *job) {
 		span.SetAttr("job", j.id)
 		span.SetAttr("kind", string(j.kind))
 	}
-	if dr, ok := runner.(distRunner); ok && j.req.Distributed && m.cfg.Fabric != nil {
-		err = m.runBodyDistributed(jctx, j, dr, m.cfg.Fabric)
-	} else {
-		// Local chunk loop — also the fallback when a distributed job is
-		// resumed on a server without a pool (the streams are identical
-		// either way, so the resume stays byte-exact).
-		err = m.runBody(jctx, j, runner)
-	}
+	err = m.runBody(jctx, j, runner)
 	j.mu.Lock()
 	j.cancelRun = nil
 	j.mu.Unlock()
@@ -689,10 +682,16 @@ func (m *Manager) finalize(j *job, state api.JobState, err error) {
 	}
 }
 
-// runBody executes the chunk loop: restore from checkpoint, run remaining
-// chunks in order, append records, checkpoint periodically, then append the
-// finish records.  On a dying context it writes a final checkpoint so the
-// resume point is the last completed chunk.
+// runBody executes a job's chunks and everything around them: restore from
+// the checkpoint and truncate the stream to its offset, commit each chunk
+// (append its records, advance progress, checkpoint every CheckpointEvery
+// chunks), checkpoint once more when the context dies, and append the
+// finish records.  Only the chunk producer differs between a local and a
+// distributed run — the in-order loop over runChunk, or a fabric.Dispatch
+// folding shipped chunks strictly in index order on this goroutine.  Both
+// feed commit in chunk-index order, so their result streams, checkpoints
+// and final aggregates are byte-identical.  A distributed job resumed on a
+// server without a pool therefore falls back to the local producer.
 func (m *Manager) runBody(ctx context.Context, j *job, r kindRunner) error {
 	f, err := os.OpenFile(filepath.Join(j.dir, resultsFile), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -719,41 +718,42 @@ func (m *Manager) runBody(ctx context.Context, j *job, r kindRunner) error {
 	if _, err := f.Seek(offset, 0); err != nil {
 		return err
 	}
+	var d *fabric.Dispatch
+	if j.req.Distributed && m.cfg.Fabric != nil {
+		d = fabric.NewDispatch(m.cfg.Fabric, j.req, total)
+		defer func() {
+			j.mu.Lock()
+			j.dispatch = nil
+			j.mu.Unlock()
+		}()
+	}
 	j.mu.Lock()
 	j.chunksDone, j.chunksTotal = next, total
 	j.shapes, j.retries, j.committed = shapes, retries, offset
+	j.dispatch = d
 	j.mu.Unlock()
 
 	runStart := time.Now()
 	chunksAtStart, shapesAtStart := next, shapes
 	lastCkpt := next
 	var buf bytes.Buffer
-	for chunk := next; chunk < total; chunk++ {
-		if ctx.Err() != nil {
-			m.writeCheckpoint(f, j, r, chunk, offset, shapes, retries)
-			return ctx.Err()
-		}
-		n, err := m.runChunk(ctx, j, r, chunk, &buf, &retries)
-		if err != nil {
-			if ctx.Err() != nil {
-				m.writeCheckpoint(f, j, r, chunk, offset, shapes, retries)
-				return ctx.Err()
-			}
-			return err
-		}
+	// commit appends chunk's records (in buf) to the stream; n is its shape
+	// count.  On return next is the resume point.
+	commit := func(chunk int, n uint64) error {
 		if _, err := f.Write(buf.Bytes()); err != nil {
 			return err
 		}
 		written := int64(buf.Len())
 		offset += written
 		shapes += n
+		next = chunk + 1
 		m.chunksDone.Add(1)
 		m.shapesDone.Add(n)
 		m.resultBytes.Add(written)
 
 		elapsed := time.Since(runStart).Seconds()
 		j.mu.Lock()
-		j.chunksDone = chunk + 1
+		j.chunksDone = next
 		j.shapes = shapes
 		j.committed = offset
 		j.retries = retries
@@ -761,8 +761,8 @@ func (m *Manager) runBody(ctx context.Context, j *job, r kindRunner) error {
 			// Throughput and ETA reflect this run only: a resumed job should
 			// not let pre-kill progress inflate its live rate.
 			j.shapesPerSec = float64(shapes-shapesAtStart) / elapsed
-			perChunk := elapsed / float64(chunk+1-chunksAtStart)
-			j.etaMS = int64(perChunk * float64(total-chunk-1) * 1000)
+			perChunk := elapsed / float64(next-chunksAtStart)
+			j.etaMS = int64(perChunk * float64(total-next) * 1000)
 		}
 		j.mu.Unlock()
 
@@ -771,19 +771,58 @@ func (m *Manager) runBody(ctx context.Context, j *job, r kindRunner) error {
 				return err
 			}
 		}
-		if chunk+1 < total && chunk+1-lastCkpt >= m.cfg.CheckpointEvery {
-			if err := m.writeCheckpoint(f, j, r, chunk+1, offset, shapes, retries); err != nil {
+		if next < total && next-lastCkpt >= m.cfg.CheckpointEvery {
+			var owners map[string]string
+			if d != nil {
+				owners = d.Owners()
+			}
+			if err := m.writeCheckpoint(f, j, r, next, offset, shapes, retries, owners); err != nil {
 				return err
 			}
-			lastCkpt = chunk + 1
+			lastCkpt = next
 			m.persistStatus(j)
 		}
+		return nil
+	}
+
+	if d != nil {
+		err = d.Run(ctx, next, func(res *api.ChunkResult) error {
+			buf.Reset()
+			n, err := r.fold(res, &buf)
+			if err != nil {
+				return err
+			}
+			return commit(res.Chunk, n)
+		})
+	} else {
+		for chunk := next; chunk < total; chunk++ {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			var n uint64
+			if n, err = m.runChunk(ctx, j, r, chunk, &buf, &retries); err != nil {
+				break
+			}
+			if err = commit(chunk, n); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		// A dying context stops either producer between commits, and a
+		// chunk attempt or fold it interrupts leaves the aggregate untouched,
+		// so the last committed chunk is the resume point.  Any other error —
+		// a failed write, the abandon hook — leaves the disk as it is.
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			m.writeCheckpoint(f, j, r, next, offset, shapes, retries, nil)
+		}
+		return err
 	}
 
 	// Checkpoint at (total, pre-finish offset): a crash between here and the
 	// terminal status persist replays zero chunks and re-appends the finish
 	// records onto an identical prefix.
-	if err := m.writeCheckpoint(f, j, r, total, offset, shapes, retries); err != nil {
+	if err := m.writeCheckpoint(f, j, r, total, offset, shapes, retries, nil); err != nil {
 		return err
 	}
 	buf.Reset()
@@ -844,16 +883,11 @@ func (m *Manager) attemptChunk(ctx context.Context, j *job, r kindRunner, chunk,
 }
 
 // writeCheckpoint syncs the result stream and atomically replaces the
-// checkpoint file.  Ordering matters: the data covered by Offset must be
-// durable before a checkpoint referencing it exists.
-func (m *Manager) writeCheckpoint(f *os.File, j *job, r kindRunner, next int, offset int64, shapes uint64, retries int) error {
-	return m.writeCheckpointOwners(f, j, r, next, offset, shapes, retries, nil)
-}
-
-// writeCheckpointOwners is writeCheckpoint plus the distributed run's
-// per-chunk ownership snapshot (chunks in flight on peers at checkpoint
-// time).
-func (m *Manager) writeCheckpointOwners(f *os.File, j *job, r kindRunner, next int, offset int64, shapes uint64, retries int, owners map[string]string) error {
+// checkpoint file.  Ordering matters: the data covered by offset must be
+// durable before a checkpoint referencing it exists.  owners is a
+// distributed run's per-chunk ownership snapshot (chunks in flight on peers
+// at checkpoint time); nil otherwise.
+func (m *Manager) writeCheckpoint(f *os.File, j *job, r kindRunner, next int, offset int64, shapes uint64, retries int, owners map[string]string) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}

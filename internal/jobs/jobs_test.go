@@ -243,51 +243,77 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 }
 
 // TestGracefulShutdownResume: Close interrupts a running job, which must be
-// left resumable on disk and finish byte-identically after reopen.
+// left resumable on disk — its checkpoint at the committed prefix — and
+// finish byte-identically after reopen, under either chunk producer.
 func TestGracefulShutdownResume(t *testing.T) {
-	_, want := runToCompletion(t, censusReq(4))
+	// 32 chunks: more than a Dispatch's reorder window (16) past the
+	// interrupt point, so the distributed producer cannot fold the whole
+	// job from already-buffered results before it sees the dead context.
+	_, want := runToCompletion(t, censusReq(5))
 
-	dir := t.TempDir()
-	cfg := testConfig(dir)
-	midway := make(chan struct{})
-	var once sync.Once
-	cfg.afterChunk = func(id string, chunk int) error {
-		if chunk >= 5 {
-			once.Do(func() { close(midway) })
-			time.Sleep(time.Millisecond) // give Close a window while chunks still remain
-		}
-		return nil
-	}
-	m1, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	st, err := m1.Submit(censusReq(4))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-midway
-	closeManager(t, m1)
+	for _, p := range producers {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig(dir)
+			req := p.setup(t, &cfg, censusReq(5))
+			midway := make(chan struct{})
+			var once sync.Once
+			cfg.afterChunk = func(id string, chunk int) error {
+				if chunk >= 5 {
+					once.Do(func() { close(midway) })
+					time.Sleep(time.Millisecond) // give Close a window while chunks still remain
+				}
+				return nil
+			}
+			m1, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			st, err := m1.Submit(req)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			<-midway
+			closeManager(t, m1)
 
-	onDisk, err := readStatusFile(filepath.Join(dir, st.ID))
-	if err != nil {
-		t.Fatalf("status after shutdown: %v", err)
-	}
-	if onDisk.State.Terminal() {
-		t.Fatalf("job reached %s before shutdown could interrupt; shrink the abandon window", onDisk.State)
-	}
+			onDisk, err := readStatusFile(filepath.Join(dir, st.ID))
+			if err != nil {
+				t.Fatalf("status after shutdown: %v", err)
+			}
+			if onDisk.State.Terminal() {
+				t.Fatalf("job reached %s before shutdown could interrupt; shrink the abandon window", onDisk.State)
+			}
+			checkCheckpointAt(t, filepath.Join(dir, st.ID), onDisk.Progress)
 
-	m2, err := Open(testConfig(dir))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+			cfg2 := testConfig(dir)
+			cfg2.Fabric = cfg.Fabric
+			m2, err := Open(cfg2)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer closeManager(t, m2)
+			fin := waitTerminal(t, m2, st.ID)
+			if fin.State != api.JobDone || fin.Resumed != 1 {
+				t.Fatalf("resumed job: state %s resumed %d, want done/1", fin.State, fin.Resumed)
+			}
+			if got := resultsBytes(t, dir, st.ID); !bytes.Equal(got, want) {
+				t.Fatalf("post-shutdown stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
-	defer closeManager(t, m2)
-	fin := waitTerminal(t, m2, st.ID)
-	if fin.State != api.JobDone || fin.Resumed != 1 {
-		t.Fatalf("resumed job: state %s resumed %d, want done/1", fin.State, fin.Resumed)
+}
+
+// checkCheckpointAt requires the job's checkpoint to sit exactly at the
+// committed prefix p: the checkpoint written when a run's context dies.
+func checkCheckpointAt(t *testing.T, jobDir string, p api.JobProgress) {
+	t.Helper()
+	ck, err := readCheckpoint(jobDir)
+	if err != nil || ck == nil {
+		t.Fatalf("checkpoint after interrupt: %v (nil=%v)", err, ck == nil)
 	}
-	if got := resultsBytes(t, dir, st.ID); !bytes.Equal(got, want) {
-		t.Fatalf("post-shutdown stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	if ck.NextChunk != p.ChunksDone || ck.Offset != p.ResultBytes {
+		t.Fatalf("checkpoint at chunk %d offset %d, want the committed chunk %d offset %d",
+			ck.NextChunk, ck.Offset, p.ChunksDone, p.ResultBytes)
 	}
 }
 
@@ -422,54 +448,65 @@ func TestQueueBackpressure(t *testing.T) {
 // TestCancelRunningStreamsPrefix: cancelling mid-run finalizes as cancelled
 // and the committed stream is an exact byte prefix of the uninterrupted
 // run's — the guarantee that makes streaming results before completion
-// sound.
+// sound — under either chunk producer.  The cancel lands between periodic
+// checkpoints, so the checkpoint at the committed prefix is the one written
+// on the way out.
 func TestCancelRunningStreamsPrefix(t *testing.T) {
-	_, full := runToCompletion(t, censusReq(4))
+	// 32 chunks: more than a Dispatch's reorder window (16) past the
+	// interrupt point, so the distributed producer cannot fold the whole
+	// job from already-buffered results before it sees the dead context.
+	_, full := runToCompletion(t, censusReq(5))
 
-	dir := t.TempDir()
-	cfg := testConfig(dir)
-	atChunk := make(chan struct{})
-	cancelled := make(chan struct{})
-	var once sync.Once
-	cfg.afterChunk = func(id string, chunk int) error {
-		if chunk == 5 {
-			once.Do(func() { close(atChunk) })
-			<-cancelled
-		}
-		return nil
-	}
-	m, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer closeManager(t, m)
-	st, err := m.Submit(censusReq(4))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-atChunk
-	if _, err := m.Cancel(st.ID); err != nil {
-		t.Fatalf("Cancel: %v", err)
-	}
-	close(cancelled)
-	fin := waitTerminal(t, m, st.ID)
-	if fin.State != api.JobCancelled {
-		t.Fatalf("job ended %s, want cancelled", fin.State)
-	}
-	got := resultsBytes(t, dir, st.ID)
-	info, err := m.Results(st.ID)
-	if err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-	if info.Committed > int64(len(got)) {
-		t.Fatalf("committed %d exceeds file size %d", info.Committed, len(got))
-	}
-	committed := got[:info.Committed]
-	if len(committed) == 0 || len(committed) >= len(full) {
-		t.Fatalf("committed %d bytes, want a proper prefix of %d", len(committed), len(full))
-	}
-	if !bytes.Equal(committed, full[:len(committed)]) {
-		t.Fatal("committed bytes are not a prefix of the uninterrupted stream")
+	for _, p := range producers {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig(dir)
+			req := p.setup(t, &cfg, censusReq(5))
+			atChunk := make(chan struct{})
+			cancelled := make(chan struct{})
+			var once sync.Once
+			cfg.afterChunk = func(id string, chunk int) error {
+				if chunk == 4 {
+					once.Do(func() { close(atChunk) })
+					<-cancelled
+				}
+				return nil
+			}
+			m, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer closeManager(t, m)
+			st, err := m.Submit(req)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			<-atChunk
+			if _, err := m.Cancel(st.ID); err != nil {
+				t.Fatalf("Cancel: %v", err)
+			}
+			close(cancelled)
+			fin := waitTerminal(t, m, st.ID)
+			if fin.State != api.JobCancelled {
+				t.Fatalf("job ended %s, want cancelled", fin.State)
+			}
+			got := resultsBytes(t, dir, st.ID)
+			info, err := m.Results(st.ID)
+			if err != nil {
+				t.Fatalf("Results: %v", err)
+			}
+			if info.Committed > int64(len(got)) {
+				t.Fatalf("committed %d exceeds file size %d", info.Committed, len(got))
+			}
+			committed := got[:info.Committed]
+			if len(committed) == 0 || len(committed) >= len(full) {
+				t.Fatalf("committed %d bytes, want a proper prefix of %d", len(committed), len(full))
+			}
+			if !bytes.Equal(committed, full[:len(committed)]) {
+				t.Fatal("committed bytes are not a prefix of the uninterrupted stream")
+			}
+			checkCheckpointAt(t, filepath.Join(dir, st.ID), fin.Progress)
+		})
 	}
 }
 

@@ -29,9 +29,10 @@ const (
 )
 
 // kindRunner is one job kind's execution engine.  The manager drives it
-// chunk by chunk: chunks execute sequentially in index order (parallelism
-// lives inside a chunk), which is what makes the record stream and the
-// running aggregate deterministic and therefore checkpointable.
+// chunk by chunk: chunks commit sequentially in index order (parallelism
+// lives inside a chunk, or across fabric peers), which is what makes the
+// record stream and the running aggregate deterministic and therefore
+// checkpointable.
 //
 // Implementations must mutate their running aggregate only after all
 // fallible work of the chunk has succeeded, so a panicked or cancelled
@@ -43,6 +44,17 @@ type kindRunner interface {
 	// runChunk appends the chunk's NDJSON records to buf and returns the
 	// number of shapes it processed.
 	runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error)
+	// remote runs one chunk on a FRESH runner (fabric worker side) and
+	// returns it in portable form: the chunk's NDJSON rows plus the
+	// aggregate delta of just this chunk (a fresh runner's post-chunk
+	// snapshot IS the delta), or position-independent plan entries for
+	// plancensus.
+	remote(ctx context.Context, chunk int) (*api.ChunkResult, error)
+	// fold merges one shipped chunk into the runner (coordinator side),
+	// appending the chunk's stream bytes to buf and returning its shape
+	// count — the distributed counterpart of runChunk, called strictly in
+	// chunk-index order under the same validate-before-mutate contract.
+	fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error)
 	// finish appends the final records (cumulative rows, summary) after the
 	// last chunk; shapes is the job-wide shape count.
 	finish(buf *bytes.Buffer, shapes uint64) error

@@ -43,10 +43,6 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 	if err != nil {
 		return nil, err
 	}
-	dr, ok := r.(distRunner)
-	if !ok {
-		return nil, fmt.Errorf("%w: kind %q cannot run distributed", ErrBadRequest, req.Job.Kind)
-	}
 	if req.Chunk < 0 || req.Chunk >= r.chunks() {
 		return nil, fmt.Errorf("%w: chunk %d out of range [0,%d)", ErrBadRequest, req.Chunk, r.chunks())
 	}
@@ -64,7 +60,7 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 		span.SetAttr("chunk", req.Chunk)
 		span.SetAttr("kind", string(req.Job.Kind))
 	}
-	out, err := dr.remote(ctx, req.Chunk)
+	out, err := r.remote(ctx, req.Chunk)
 	span.End()
 	if err != nil {
 		return nil, err

@@ -141,14 +141,6 @@ type Span struct {
 
 type ctxKey struct{}
 
-// ContextWith returns ctx carrying s; a nil span returns ctx unchanged.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // FromContext returns the span riding ctx, or nil.
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/bounds"
+	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/mesh"
 	"repro/pkg/api"
@@ -31,12 +32,8 @@ func (s *Server) countCert(c *api.Certificate) *api.Certificate {
 func measuredCertificate(fam guest.Family, sh mesh.Shape, m api.Metrics) *api.Certificate {
 	b := bounds.For(fam, sh, m.CubeDim)
 	c := &api.Certificate{
-		CubeDim: m.CubeDim,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
+		CubeDim:       m.CubeDim,
+		LowerBounds:   lowerBounds(b),
 		DilationGap:   m.Dilation - b.Dilation,
 		WirelengthGap: m.Wirelength - b.Wirelength,
 		CongestionGap: m.Congestion - b.Congestion,
@@ -46,38 +43,30 @@ func measuredCertificate(fam guest.Family, sh mesh.Shape, m api.Metrics) *api.Ce
 	return c
 }
 
-// planCertificate certifies a plan before anything is built: only the
-// dilation gap is evaluable (from the construction's a-priori bound;
-// dilBound < 0 means the snake fallback carries none), wirelength and
-// congestion gaps are unknown (−1).  A zero dilation gap is sound without
-// routing — measured dilation is squeezed between the floor and the bound.
+// planCertificate certifies a plan before anything is built (see
+// core.CertifyBound; dilBound < 0 means the snake fallback carries none).
+// Only the dilation gap is evaluable; wirelength and congestion gaps are
+// unknown (−1) except for an edgeless guest, where every metric measures
+// zero.
 func planCertificate(fam guest.Family, sh mesh.Shape, cubeDim, dilBound int) *api.Certificate {
-	b := bounds.For(fam, sh, cubeDim)
+	b, gap, optimal := core.CertifyBound(fam, sh, cubeDim, dilBound)
 	c := &api.Certificate{
-		CubeDim: cubeDim,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
+		CubeDim:       cubeDim,
+		LowerBounds:   lowerBounds(b),
+		DilationGap:   gap,
 		WirelengthGap: -1,
 		CongestionGap: -1,
+		GapToOptimal:  int64(gap),
+		Optimal:       optimal,
 	}
 	if b.Dilation == 0 {
-		// Edgeless guest: every metric measures zero, trivially optimal.
 		c.WirelengthGap, c.CongestionGap = 0, 0
-		c.Optimal = true
-		return c
 	}
-	if dilBound < 0 {
-		c.DilationGap = -1
-		c.GapToOptimal = -1
-		return c
-	}
-	c.DilationGap = dilBound - b.Dilation
-	c.GapToOptimal = int64(c.DilationGap)
-	c.Optimal = c.DilationGap == 0
 	return c
+}
+
+func lowerBounds(b bounds.Bounds) api.LowerBounds {
+	return api.LowerBounds{Dilation: b.Dilation, Wirelength: b.Wirelength, Congestion: b.Congestion}
 }
 
 // compareCertificate certifies the comparison as a whole at the minimal
@@ -86,40 +75,24 @@ func planCertificate(fam guest.Family, sh mesh.Shape, cubeDim, dilBound int) *ap
 // non-Gray-minimal shapes — never weaken it).  The snake fallback always
 // reaches the minimal cube, so a minimal-cube row exists.
 func compareCertificate(fam guest.Family, sh mesh.Shape, rows []api.CompareRow) *api.Certificate {
-	nmin := sh.MinCubeDim()
-	var bestDil, bestCong int
-	var bestWL int64
+	best := api.Metrics{CubeDim: sh.MinCubeDim()}
 	found := false
 	for _, row := range rows {
-		if row.Metrics.CubeDim != nmin {
+		m := row.Metrics
+		if m.CubeDim != best.CubeDim {
 			continue
 		}
-		m := row.Metrics
 		if !found {
-			bestDil, bestWL, bestCong = m.Dilation, m.Wirelength, m.Congestion
+			best.Dilation, best.Wirelength, best.Congestion = m.Dilation, m.Wirelength, m.Congestion
 			found = true
 			continue
 		}
-		bestDil = min(bestDil, m.Dilation)
-		bestWL = min(bestWL, m.Wirelength)
-		bestCong = min(bestCong, m.Congestion)
+		best.Dilation = min(best.Dilation, m.Dilation)
+		best.Wirelength = min(best.Wirelength, m.Wirelength)
+		best.Congestion = min(best.Congestion, m.Congestion)
 	}
 	if !found {
 		return nil
 	}
-	b := bounds.For(fam, sh, nmin)
-	c := &api.Certificate{
-		CubeDim: nmin,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
-		DilationGap:   bestDil - b.Dilation,
-		WirelengthGap: bestWL - b.Wirelength,
-		CongestionGap: bestCong - b.Congestion,
-	}
-	c.GapToOptimal = int64(c.DilationGap) + c.WirelengthGap + int64(c.CongestionGap)
-	c.Optimal = c.GapToOptimal == 0
-	return c
+	return measuredCertificate(fam, sh, best)
 }

@@ -27,31 +27,6 @@ func Method2(l1, l2, l3 int) bool {
 	return c2(l1*l2)*c2(l3) == T || c2(l2*l3)*c2(l1) == T || c2(l3*l1)*c2(l2) == T
 }
 
-// Method3Exact reports whether a direct 3x3x3 or 3x3x7 block, combined with
-// Gray codes on the residual axes (Corollary 2), is minimal, without any
-// axis extension.  The paper's Figure 2 counts method 3 with extension; see
-// Method3.
-func Method3Exact(l1, l2, l3 int) bool {
-	T := c2(l1 * l2 * l3)
-	// 3x3x3 block: every axis divisible by 3, 27 block nodes in a 5-cube.
-	if l1%3 == 0 && l2%3 == 0 && l3%3 == 0 {
-		if 32*c2(l1/3)*c2(l2/3)*c2(l3/3) == T {
-			return true
-		}
-	}
-	// 3x3x7 block: two axes divisible by 3, one by 7, 63 nodes in a 6-cube.
-	l := [3]int{l1, l2, l3}
-	for sevenAxis := 0; sevenAxis < 3; sevenAxis++ {
-		a, b, c := l[sevenAxis], l[(sevenAxis+1)%3], l[(sevenAxis+2)%3]
-		if a%7 == 0 && b%3 == 0 && c%3 == 0 {
-			if 64*c2(a/7)*c2(b/3)*c2(c/3) == T {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Method4Split reports whether the axis-split decomposition of Figure 2's
 // item 4 applies: for some split axis m with the remaining axes a, b, there
 // are ℓ', ℓ” with ℓ'ℓ” ≥ ℓm and ⌈ℓa·ℓ'⌉₂ · ⌈ℓ”·ℓb⌉₂ == ⌈ℓ1ℓ2ℓ3⌉₂ (both
