@@ -125,13 +125,12 @@ func permutePlan(p *Plan, axmap []int) *Plan {
 }
 
 // permuteEmbedding rebuilds a solver embedding for the axis-permuted guest:
-// node maps transfer through the coordinate relabeling, and pinned paths
+// node maps transfer through the coordinate relabeling, and pinned routes
 // are re-realized deterministically on the permuted edge order.
 func permuteEmbedding(e *embed.Embedding, axmap []int) *embed.Embedding {
 	ns := permuteShape(e.Guest, axmap)
 	out := embed.New(ns, e.N)
 	out.Family = e.Family
-	out.AllowLongPaths = e.AllowLongPaths
 	k := ns.Dims()
 	oc := make([]int, k)
 	nc := make([]int, k)
@@ -146,7 +145,7 @@ func permuteEmbedding(e *embed.Embedding, axmap []int) *embed.Embedding {
 		}
 		out.Map[idx] = e.Map[e.Guest.Index(oc)]
 	}
-	if e.Paths != nil {
+	if e.Routes != nil {
 		out.RealizeMinCongestion()
 	}
 	return out

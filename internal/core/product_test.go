@@ -122,8 +122,8 @@ func TestProductCongestionWithPinnedPaths(t *testing.T) {
 }
 
 func TestProductPathsStayInCopies(t *testing.T) {
-	// With pinned factor paths, every product path must stay within one
-	// copy: inner-edge paths keep the high bits constant, seam paths keep
+	// With pinned factor routes, every product route must stay within one
+	// copy: inner-edge routes keep the high bits constant, seam routes keep
 	// the low bits constant.
 	f := solver.Find(mesh.Shape{3, 5}, solver.Options{MaxDilation: 2, Seed: 3})
 	if f == nil {
@@ -132,12 +132,16 @@ func TestProductPathsStayInCopies(t *testing.T) {
 	f.RealizeMinCongestion()
 	g := embed.Gray(mesh.Shape{2, 2})
 	p := Product(f, g)
-	if p.Paths == nil {
-		t.Fatal("expected composed paths")
+	if p.Routes == nil {
+		t.Fatal("expected lifted route codes")
+	}
+	if err := p.Verify(); err != nil {
+		t.Fatal(err)
 	}
 	n1 := f.N
-	for k, path := range p.Paths {
-		loMask := uint64(1)<<uint(n1) - 1
+	loMask := uint64(1)<<uint(n1) - 1
+	p.Guest.EachEdge(func(ed mesh.Edge) {
+		path := meshRoute(p, ed)
 		hiSame, loSame := true, true
 		for _, node := range path {
 			if uint64(node)>>uint(n1) != uint64(path[0])>>uint(n1) {
@@ -148,9 +152,21 @@ func TestProductPathsStayInCopies(t *testing.T) {
 			}
 		}
 		if !hiSame && !loSame {
-			t.Fatalf("path for edge %v leaves its copy: %v", k, path)
+			t.Fatalf("route for edge %v leaves its copy: %v", ed, path)
+		}
+	})
+}
+
+// meshRoute materializes the route of a mesh edge: its code's entry in the
+// cube.ShortestPaths rank order, or the e-cube route for code 0.
+func meshRoute(e *embed.Embedding, ed mesh.Edge) cube.Path {
+	a, b := e.Map[ed.U], e.Map[ed.V]
+	if e.Routes != nil {
+		if c := e.Routes[ed.U*e.Guest.Dims()+ed.Axis]; c != 0 {
+			return cube.ShortestPaths(a, b)[c]
 		}
 	}
+	return cube.Route(a, b)
 }
 
 func TestProductArityPadding(t *testing.T) {

@@ -113,10 +113,12 @@ func RouteInto(dst Path, a, b Node) Path {
 	return dst
 }
 
-// ShortestPaths returns all shortest paths from a to b.  For nodes at
-// distance d there are d! dimension orders; this is intended for the small
-// distances (≤ 3) that arise in low-dilation embeddings.  It panics when
-// Dist(a, b) > 4 to guard against factorial blowup.
+// ShortestPaths returns all shortest paths from a to b, one per flip order
+// of the d differing bits, in lexicographic order of those orders (bits
+// taken in ascending dimension).  The index of a path in this list is its
+// route code in package embed, whose tests use this as the reference
+// decoder.  It panics when Dist(a, b) > 4 to guard against factorial
+// blowup.
 func ShortestPaths(a, b Node) []Path {
 	diff := bits.DiffBits(uint64(a), uint64(b))
 	if len(diff) > 4 {

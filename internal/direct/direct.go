@@ -8,7 +8,7 @@
 // the paper; the maps here were re-discovered with internal/solver
 // (cmd/findembed, deterministic seeds) and satisfy the same properties the
 // paper asserts: minimal expansion, dilation two, and — for the
-// two-dimensional tables — congestion two under the pinned path
+// two-dimensional tables — congestion two under the pinned route
 // realization.  The 3x3x7 table achieves congestion three; the paper makes
 // no congestion claim for the three-dimensional direct embeddings.
 package direct
@@ -94,7 +94,7 @@ func matchPermutation(s, ref mesh.Shape) ([]int, bool) {
 
 // Embedding instantiates the direct embedding for the given shape (which
 // must match a table up to axis permutation) with congestion-minimizing
-// pinned paths.
+// pinned routes.
 func Embedding(s mesh.Shape) (*embed.Embedding, bool) {
 	tab, perm, ok := Lookup(s)
 	if !ok {

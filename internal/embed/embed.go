@@ -8,6 +8,7 @@ package embed
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cube"
 	"repro/internal/guest"
@@ -25,36 +26,22 @@ import (
 // Map must be injective; many-to-one embeddings (Section 7 of the paper)
 // relax this and are validated with VerifyManyToOne.
 //
-// Paths, if non-nil, realizes guest edge e as an explicit cube path.  When a
-// guest edge has no entry, metrics fall back to e-cube (dimension-ordered)
-// shortest-path routing, which never changes the dilation (any realization
-// of an edge uses at least Dist hops; stored paths are validated to be
-// shortest unless AllowLongPaths is set).
+// Routes, if non-nil, pins the host route of guest edges: one route code
+// (routes.go) per guest-edge slot, 0 for the e-cube route every unpinned
+// edge takes.  A slot is the generating node × fan-out + local index, as
+// the family's edge enumeration generates the edge: U·Dims + Axis for a
+// mesh, torus or cylinder edge (V·Dims + Axis for a wraparound edge, which
+// its higher endpoint generates), V − 1 for a tree edge.  Every route is a
+// shortest path, so pinning never changes the dilation.
 type Embedding struct {
 	Guest  mesh.Shape
 	Family guest.Family // edge interpretation of Guest (zero: mesh)
 	N      int          // host cube dimension
 	Map    []cube.Node
 
-	// Paths optionally pins the host path of selected guest edges,
-	// keyed by the canonical edge (U < V handled by EdgeKey).
-	Paths map[EdgeKey]cube.Path
-
-	// AllowLongPaths permits stored paths longer than the cube distance
-	// of their endpoints (used by the hierarchical embeddings of the
-	// summary section, where an edge is routed through removed nodes).
-	AllowLongPaths bool
-}
-
-// EdgeKey canonically identifies a guest edge by its dense endpoint indices.
-type EdgeKey struct{ U, V int }
-
-// Key returns the canonical key with U < V.
-func Key(u, v int) EdgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return EdgeKey{U: u, V: v}
+	// Routes optionally pins the host route of guest edges, RouteSlots()
+	// bytes long when non-nil.
+	Routes []uint8
 }
 
 // New allocates an embedding of the guest shape into an n-cube with an
@@ -90,14 +77,9 @@ func (e *Embedding) NumGuestEdges() int {
 	return guest.Get(e.Family).Edges(e.Guest)
 }
 
-// EdgeDilation returns the dilation of one guest edge: the length of its
-// pinned path if any, else the cube distance of the endpoint images.
+// EdgeDilation returns the dilation of one guest edge: the cube distance of
+// its endpoint images, which every route, pinned or not, attains.
 func (e *Embedding) EdgeDilation(u, v int) int {
-	if e.Paths != nil {
-		if p, ok := e.Paths[Key(u, v)]; ok {
-			return p.Len()
-		}
-	}
 	return cube.Dist(e.Map[u], e.Map[v])
 }
 
@@ -203,23 +185,24 @@ func (e *Embedding) OptimalLoadFactor() int {
 
 // Verify checks the structural invariants of a one-to-one embedding:
 // the guest shape is valid, every image is inside the cube, the map is
-// injective, and every pinned path is a valid cube walk joining the correct
-// images with length ≥ the cube distance (== unless AllowLongPaths).
+// injective, and every route code is valid for its edge (verifyRoutes).
 func (e *Embedding) Verify() error {
 	if err := e.verifyCommon(); err != nil {
 		return err
 	}
 	if hn := e.HostNodes(); hn <= denseNodeLimit {
-		// Dense injectivity check: slot h holds 1 + the guest index mapped
-		// there.  verifyCommon bounds every image, and the first duplicate
-		// appears within the first hn+1 entries, so int32 suffices.
-		seen := make([]int32, hn)
+		// Dense injectivity check: one bit per host node (verifyCommon
+		// bounds every image).  Only a duplicate pays for finding the
+		// earlier guest node that claimed its image.
+		seen := make([]uint64, (hn+63)/64)
 		for i, h := range e.Map {
-			if prev := seen[h]; prev != 0 {
+			w, bit := h/64, uint64(1)<<(h%64)
+			if seen[w]&bit != 0 {
+				prev := slices.Index(e.Map, h)
 				return fmt.Errorf("embed: guest nodes %v and %v both map to cube node %d",
-					e.Guest.Coord(int(prev-1)), e.Guest.Coord(i), h)
+					e.Guest.Coord(prev), e.Guest.Coord(i), h)
 			}
-			seen[h] = int32(i + 1)
+			seen[w] |= bit
 		}
 		return nil
 	}
@@ -255,103 +238,7 @@ func (e *Embedding) verifyCommon() error {
 				e.Guest.Coord(i), h, e.N)
 		}
 	}
-	if e.Paths == nil {
-		return nil
-	}
-	// Every family enumerates each guest edge once, so the pinned paths all
-	// belong to edges exactly when the edge pass matches every one of them.
-	var bad error
-	matched := 0
-	e.eachGuestEdge(func(ed mesh.Edge) {
-		if bad != nil {
-			return
-		}
-		p, ok := e.Paths[Key(ed.U, ed.V)]
-		if !ok {
-			return
-		}
-		matched++
-		if err := p.Validate(e.N); err != nil {
-			bad = fmt.Errorf("embed: edge (%d,%d): %v", ed.U, ed.V, err)
-			return
-		}
-		if len(p) == 0 || p[0] != e.Map[ed.U] || p[len(p)-1] != e.Map[ed.V] {
-			// also accept the reversed orientation
-			if len(p) == 0 || p[0] != e.Map[ed.V] || p[len(p)-1] != e.Map[ed.U] {
-				bad = fmt.Errorf("embed: edge (%d,%d): path endpoints do not match images", ed.U, ed.V)
-				return
-			}
-		}
-		d := cube.Dist(e.Map[ed.U], e.Map[ed.V])
-		if p.Len() < d || (!e.AllowLongPaths && p.Len() != d) {
-			bad = fmt.Errorf("embed: edge (%d,%d): path length %d vs distance %d", ed.U, ed.V, p.Len(), d)
-		}
-	})
-	if bad != nil || matched == len(e.Paths) {
-		return bad
-	}
-	// Some pinned path belongs to no edge; it would silently skew congestion
-	// accounting.  Only this error path pays for the edge set that names it.
-	valid := make(map[EdgeKey]bool, e.NumGuestEdges())
-	e.eachGuestEdge(func(ed mesh.Edge) { valid[Key(ed.U, ed.V)] = true })
-	for k := range e.Paths {
-		if !valid[k] {
-			return fmt.Errorf("embed: pinned path for non-edge (%d,%d)", k.U, k.V)
-		}
-	}
-	return nil
-}
-
-// RealizeMinCongestion pins, for every guest edge whose images are at
-// distance 2, the shortest path that currently has the lighter maximum link
-// load (greedy, deterministic order).  Distance-0/1 edges need no choice and
-// distance ≥ 3 edges keep e-cube routing.  This is how the congestion-2
-// figures of the direct embeddings are attained.
-func (e *Embedding) RealizeMinCongestion() {
-	loads := make([]int, cube.NumLinks(e.N))
-	if e.Paths == nil {
-		e.Paths = make(map[EdgeKey]cube.Path)
-	}
-	// Links are accumulated by walking paths pairwise — no per-path link
-	// slices — and e-cube routes land in one reused scratch buffer.
-	var route cube.Path
-	addPath := func(p cube.Path) {
-		for i := 1; i < len(p); i++ {
-			loads[cube.LinkIndex(cube.LinkBetween(p[i-1], p[i]), e.N)]++
-		}
-	}
-	worst := func(p cube.Path) int {
-		w := 0
-		for i := 1; i < len(p); i++ {
-			if c := loads[cube.LinkIndex(cube.LinkBetween(p[i-1], p[i]), e.N)]; c > w {
-				w = c
-			}
-		}
-		return w
-	}
-	e.eachGuestEdge(func(ed mesh.Edge) {
-		key := Key(ed.U, ed.V)
-		if p, pinned := e.Paths[key]; pinned {
-			addPath(p)
-			return
-		}
-		a, b := e.Map[ed.U], e.Map[ed.V]
-		d := cube.Dist(a, b)
-		if d <= 1 || d > 4 {
-			route = cube.RouteInto(route[:0], a, b)
-			addPath(route)
-			return
-		}
-		best := cube.Path(nil)
-		bestW := int(^uint(0) >> 1)
-		for _, p := range cube.ShortestPaths(a, b) {
-			if w := worst(p); w < bestW {
-				best, bestW = p, w
-			}
-		}
-		e.Paths[key] = best
-		addPath(best)
-	})
+	return e.verifyRoutes()
 }
 
 // Metrics bundles the quality measures for reporting.  Family names the

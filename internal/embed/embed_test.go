@@ -120,51 +120,6 @@ func TestVerifyCatchesOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPinnedPathValidation(t *testing.T) {
-	e := New(mesh.Shape{2}, 2)
-	e.Map[0], e.Map[1] = 0, 3
-	e.Paths = map[EdgeKey]cube.Path{Key(0, 1): {0, 1, 3}}
-	if err := e.Verify(); err != nil {
-		t.Errorf("valid pinned path rejected: %v", err)
-	}
-	if e.EdgeDilation(0, 1) != 2 {
-		t.Errorf("dilation via path = %d", e.EdgeDilation(0, 1))
-	}
-	// wrong endpoints
-	e.Paths[Key(0, 1)] = cube.Path{0, 1}
-	if err := e.Verify(); err == nil {
-		t.Error("path with wrong endpoint accepted")
-	}
-	// broken walk
-	e.Paths[Key(0, 1)] = cube.Path{0, 3}
-	if err := e.Verify(); err == nil {
-		t.Error("non-walk path accepted")
-	}
-	// longer than distance without AllowLongPaths
-	e.Paths[Key(0, 1)] = cube.Path{0, 1, 0, 1, 3}
-	if err := e.Verify(); err == nil {
-		t.Error("over-long path accepted")
-	}
-	e.AllowLongPaths = true
-	if err := e.Verify(); err != nil {
-		t.Errorf("AllowLongPaths should accept it: %v", err)
-	}
-	// path for a non-edge
-	e.Paths = map[EdgeKey]cube.Path{Key(5, 7): {0, 1}}
-	if err := e.Verify(); err == nil {
-		t.Error("path for non-edge accepted")
-	}
-}
-
-func TestReversedPathAccepted(t *testing.T) {
-	e := New(mesh.Shape{2}, 2)
-	e.Map[0], e.Map[1] = 0, 3
-	e.Paths = map[EdgeKey]cube.Path{Key(0, 1): {3, 2, 0}}
-	if err := e.Verify(); err != nil {
-		t.Errorf("reversed path rejected: %v", err)
-	}
-}
-
 func TestCongestionAccounting(t *testing.T) {
 	// Two guest edges forced over the same host link.
 	e := New(mesh.Shape{3}, 2)

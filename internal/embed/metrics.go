@@ -22,8 +22,11 @@ import (
 // are merged in block order, and the link loads of a multi-worker pass go
 // into one shared vector by atomic adds, so every worker count produces
 // bit-identical metrics and a pass holds one load vector whatever its
-// worker count.  The common unpinned-edge case walks the e-cube route bit
-// by bit, accumulating cube.LinkIndex directly, and touches no heap at all.
+// worker count.  Every edge walks its route bit by bit, accumulating
+// cube.LinkIndex directly, and touches no heap at all: an unpinned edge
+// flips its differing bits in ascending order (e-cube), a pinned edge in
+// the order its route code names.  Dilation-only passes skip the walk —
+// every route is shortest, so an edge's dilation is its cube distance.
 
 const (
 	// parallelEdgeThreshold is the guest edge count below which implicit
@@ -73,6 +76,16 @@ func (st *edgeStats) addLoad(i int) {
 		atomic.AddInt32(&st.loads[i], 1)
 	} else {
 		st.loads[i]++
+	}
+}
+
+// addRoute counts the links of a pinned route: the differing bits of diff,
+// flipped from cur in the order route code c names.
+func (st *edgeStats) addRoute(cur, diff uint64, c uint8, n int) {
+	flips := routeBits(diff, c)
+	for _, bit := range flips[:mathbits.OnesCount64(diff)] {
+		st.addLoad(flipLink(cur, bit, n))
+		cur ^= bit
 	}
 }
 
@@ -174,36 +187,27 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 // oracle, which does go through the registry, pins the agreement — and a
 // family without a branch here is a programming error.
 func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
-	n := e.N
+	n, dims, tree := e.N, e.Guest.Dims(), e.Family == guest.Tree
 	visit := func(ed mesh.Edge) {
-		var d int
-		var pinned cube.Path
-		ok := false
-		if e.Paths != nil {
-			pinned, ok = e.Paths[Key(ed.U, ed.V)]
-		}
-		if ok {
-			d = pinned.Len()
-			if st.loads != nil {
-				for i := 1; i < len(pinned); i++ {
-					st.addLoad(cube.LinkIndex(cube.LinkBetween(pinned[i-1], pinned[i]), n))
-				}
+		cur := uint64(e.Map[ed.U])
+		diff := cur ^ uint64(e.Map[ed.V])
+		d := mathbits.OnesCount64(diff)
+		if st.loads != nil {
+			var code uint8
+			if e.Routes != nil {
+				code = e.Routes[routeSlot(ed, dims, tree)]
 			}
-		} else {
-			cur := uint64(e.Map[ed.U])
-			diff := cur ^ uint64(e.Map[ed.V])
-			d = mathbits.OnesCount64(diff)
-			if st.loads != nil {
+			if code == 0 {
 				// Walk the e-cube route bit by bit: each differing bit is
 				// one link, whose lower endpoint is cur with that bit
 				// cleared.  No path or link values are materialized.
-				for diff != 0 {
+				for ; diff != 0; diff &= diff - 1 {
 					bit := diff & -diff
-					l := cube.Link{Lo: cube.Node(cur &^ bit), Dim: mathbits.TrailingZeros64(bit)}
-					st.addLoad(cube.LinkIndex(l, n))
+					st.addLoad(flipLink(cur, bit, n))
 					cur ^= bit
-					diff ^= bit
 				}
+			} else {
+				st.addRoute(cur, diff, code, n)
 			}
 		}
 		st.edges++

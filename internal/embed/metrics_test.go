@@ -11,7 +11,8 @@ import (
 )
 
 // referenceMeasure recomputes Metrics the way the pre-fusion implementation
-// did: one independent traversal per metric, paths materialized per edge.
+// did: one independent traversal per metric, paths materialized per edge
+// (pinned routes through the cube.ShortestPaths rank order).
 // It is the oracle the fused engine must match bit for bit.
 func referenceMeasure(e *Embedding) Metrics {
 	edges := 0
@@ -25,14 +26,9 @@ func referenceMeasure(e *Embedding) Metrics {
 		if d > maxDil {
 			maxDil = d
 		}
-		var p cube.Path
-		if e.Paths != nil {
-			if pin, ok := e.Paths[Key(ed.U, ed.V)]; ok {
-				p = pin
-			}
-		}
-		if p == nil {
-			p = cube.Route(e.Map[ed.U], e.Map[ed.V])
+		p := routePath(e, ed)
+		if p.Len() != d {
+			panic("embed: reference route is not shortest")
 		}
 		for _, l := range p.Links() {
 			loads[cube.LinkIndex(l, e.N)]++
@@ -83,7 +79,7 @@ func referenceMeasure(e *Embedding) Metrics {
 
 // metricsTestEmbeddings builds a grid of embeddings covering the engine's
 // branches: Gray meshes of several arities, wraparound guests, and
-// pinned-path embeddings from RealizeMinCongestion.
+// pinned-route embeddings from RealizeMinCongestion.
 func metricsTestEmbeddings() map[string]*Embedding {
 	out := map[string]*Embedding{
 		"gray-17":        Gray(mesh.Shape{17}),
@@ -226,7 +222,7 @@ func TestAxisAvgDilationFused(t *testing.T) {
 }
 
 // TestConcurrentMeasureSharedEmbedding hammers shared Embeddings (with
-// pinned-path maps, so concurrent map reads and the shared load vector's
+// pinned routes, so concurrent route-table reads and the shared load vector's
 // atomic adds are exercised) from many goroutines, each running its own
 // multi-worker passes; run under -race via the Makefile race target.
 func TestConcurrentMeasureSharedEmbedding(t *testing.T) {

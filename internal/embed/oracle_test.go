@@ -10,20 +10,15 @@ import (
 
 // measureOnHost is the reference oracle for Measure: the same Metrics
 // computed the slow, obvious way — one Hamming distance, one e-cube route
-// and one dense link index per guest edge, straight from internal/cube,
+// (or the pinned route, picked from cube.ShortestPaths by its rank) and one
+// dense link index per guest edge, straight from internal/cube,
 // with none of the fused engine's blocking, scratch reuse or worker split.
 func (e *Embedding) measureOnHost() Metrics {
 	loads := make([]int, cube.NumLinks(e.N))
 	edges, dilSum, maxDil := 0, 0, 0
 	visit := func(ed mesh.Edge) {
-		p := e.Paths[Key(ed.U, ed.V)]
-		var d int
-		if p != nil {
-			d = len(p) - 1 // pinned path length, as in EdgeDilation
-		} else {
-			d = cube.Dist(e.Map[ed.U], e.Map[ed.V])
-			p = cube.Route(e.Map[ed.U], e.Map[ed.V])
-		}
+		d := cube.Dist(e.Map[ed.U], e.Map[ed.V])
+		p := routePath(e, ed)
 		edges++
 		dilSum += d
 		if d > maxDil {

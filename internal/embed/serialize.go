@@ -24,7 +24,7 @@ import (
 //	2 3 0 1 …            (host addresses in dense guest-index order,
 //	                      any whitespace/line structure)
 //
-// Pinned paths are not serialized; metrics that depend on a specific path
+// Pinned routes are not serialized; metrics that depend on a specific path
 // realization (congestion) are recomputed with e-cube routing after a load.
 
 const formatHeader = "repro-embedding v1"
@@ -37,7 +37,7 @@ const SchemaVersion = 1
 
 // Serial is the structured, versioned form of an embedding, the schema the
 // HTTP API serves.  It captures exactly what the text format does: pinned
-// paths are not serialized, and path-dependent metrics are recomputed with
+// routes are not serialized, and path-dependent metrics are recomputed with
 // e-cube routing after FromSerial.
 type Serial struct {
 	Version int      `json:"version"`

@@ -40,7 +40,7 @@
 // rewrites the guest string and — when the map is requested — relabels the
 // node map; it never re-measures.  An embed entry keeps only what it serves:
 // the metrics, the plan fields and the canonical-order node map as uint32
-// images.  The built embedding, with any pinned paths of its direct or
+// images.  The built embedding, with any pinned routes of its direct or
 // solver factors, is dropped once it is verified and measured.
 package server
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,7 +133,7 @@ func TestEmbedPermutedHit(t *testing.T) {
 }
 
 // TestEmbedIncludeMapPinnedPaths serves include_map for a plan whose direct
-// factor pins explicit host paths.  The cache entry keeps only the node
+// factor pins host routes.  The cache entry keeps only the node
 // map, so on a miss, an identical-order hit and a permuted hit the served
 // map must be the fresh build's map relabeled into the request's axis order.
 func TestEmbedIncludeMapPinnedPaths(t *testing.T) {
@@ -147,8 +148,8 @@ func TestEmbedIncludeMapPinnedPaths(t *testing.T) {
 		t.Fatalf("plan %s has no direct factor", p)
 	}
 	fresh := p.Build()
-	if len(fresh.Paths) == 0 {
-		t.Fatalf("plan %s pins no paths", p)
+	if !slices.ContainsFunc(fresh.Routes, func(c uint8) bool { return c != 0 }) {
+		t.Fatalf("plan %s pins no routes", p)
 	}
 	for _, tc := range []struct{ shape, source string }{
 		{"3x5x7", "computed"},
