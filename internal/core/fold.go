@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cube"
 	"repro/internal/embed"
 	"repro/internal/mesh"
 )
@@ -20,7 +21,9 @@ func foldedShape(s mesh.Shape, axis, a, b int) mesh.Shape {
 // unfold converts an embedding of the folded mesh back to the guest: guest
 // coordinate y on the folded axis splits as y = q·b + j, with j reflected on
 // odd strips q so strip seams coincide with folded-mesh edges.  Every guest
-// edge maps to a folded-mesh edge, so dilation and congestion are inherited.
+// edge maps to its own folded-mesh edge and takes that edge's route code —
+// walked from the far end when an odd strip runs the last axis backwards —
+// so dilation and congestion are inherited.
 func unfold(fe *embed.Embedding, guest mesh.Shape, axis, a, b int) *embed.Embedding {
 	fs := fe.Guest
 	if fs.Dims() != guest.Dims()+1 || fs[axis] != a || fs[fs.Dims()-1] != b {
@@ -31,7 +34,12 @@ func unfold(fe *embed.Embedding, guest mesh.Shape, axis, a, b int) *embed.Embedd
 		panic("core: fold factors do not cover the axis")
 	}
 	e := embed.New(guest, fe.N)
-	gc := make([]int, guest.Dims())
+	if fe.Routes != nil {
+		e.Routes = make([]uint8, e.RouteSlots())
+	}
+	k, last := guest.Dims(), fs.Dims()-1
+	lastStride := fs.Nodes() / b
+	gc := make([]int, k)
 	fc := make([]int, fs.Dims())
 	for idx := range e.Map {
 		guest.CoordInto(idx, gc)
@@ -42,8 +50,30 @@ func unfold(fe *embed.Embedding, guest mesh.Shape, axis, a, b int) *embed.Embedd
 			j = b - 1 - j
 		}
 		fc[axis] = q
-		fc[fs.Dims()-1] = j
-		e.Map[idx] = fe.Map[fs.Index(fc)]
+		fc[last] = j
+		f := fs.Index(fc)
+		e.Map[idx] = fe.Map[f]
+		if e.Routes == nil {
+			continue
+		}
+		for i := 0; i < k; i++ {
+			if gc[i]+1 == guest[i] {
+				continue
+			}
+			var c uint8
+			switch {
+			case i != axis:
+				c = fe.Routes[f*(last+1)+i]
+			case (gc[i]+1)%b == 0: // strip seam: q → q+1 on the folded axis
+				c = fe.Routes[f*(last+1)+axis]
+			case q&1 == 0: // j → j+1 on the last axis
+				c = fe.Routes[f*(last+1)+last]
+			default: // j → j−1: the folded edge runs the other way
+				g := f - lastStride
+				c = embed.ReverseRoute(fe.Routes[g*(last+1)+last], cube.Dist(fe.Map[f], fe.Map[g]))
+			}
+			e.Routes[idx*k+i] = c
+		}
 	}
 	return e
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -57,4 +58,32 @@ func BenchmarkBuildPinned(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestCongestionWithinBound sweeps three-dimensional shapes and checks that
+// every plan with a known congestion bound builds an embedding within it.
+// Fold plans inherit the bound of their child, so unfold must carry the
+// child's routes over.
+func TestCongestionWithinBound(t *testing.T) {
+	pl := NewPlanner(DefaultOptions)
+	checked, folds := 0, 0
+	for a := 1; a <= 24; a++ {
+		for b := a; b <= 40; b++ {
+			for c := b; c <= 300 && a*b*c <= 1<<11; c++ {
+				p := pl.Plan(mesh.Shape{a, b, c})
+				bound := p.CongestionBound()
+				if bound == CongestionUnknown {
+					continue
+				}
+				checked++
+				if strings.Contains(p.String(), "↷") {
+					folds++
+				}
+				if got := p.Build().Congestion(); got > bound {
+					t.Errorf("%s: congestion %d above its bound %d", p, got, bound)
+				}
+			}
+		}
+	}
+	t.Logf("%d plans with a known bound, %d of them folds", checked, folds)
 }
