@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-json bounds-check unused-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
+.PHONY: check vet build test fuzz-short race bench bench-short bench-json bounds-check unused-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
 
-check: vet build gen-check unused-check test race bounds-check bench-short serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
+check: vet build gen-check unused-check test fuzz-short race bounds-check bench-short serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -51,6 +51,18 @@ build:
 test:
 	$(GO) test ./...
 
+# Run every fuzz target of the module for 5 s each: the decoders that read
+# bytes from outside the process (plan-census records, serialized
+# embeddings) and the route-table validation.  Targets are found by name,
+# so a new Fuzz* function joins the gate without a Makefile change.
+fuzz-short:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=perfbench '^func Fuzz' .); do \
+		for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-short: $$fz ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime 5s ./$$(dirname $$f); \
+		done; \
+	done
+
 # Race-check the packages with shared mutable state: the planner cache,
 # the sweep engine, the fused metrics engine (concurrent Measure on a
 # shared Embedding), the HTTP server (result cache + coalescer under a
@@ -86,17 +98,18 @@ bench-short:
 # script in BENCH=1 mode); since PR 10 the embed suite also covers the
 # wirelength accumulator inside the fused pass (same 8 allocs/op budget),
 # and since PR 13 a multi-worker Measure shares one link-load vector, so
-# its B/op no longer scales with the worker count; see EXPERIMENTS.md for
-# the recorded numbers.
+# its B/op no longer scales with the worker count; BenchmarkBuildPinned
+# times Build + Verify + Measure of the heaviest pinned-route plans; see
+# EXPERIMENTS.md for the recorded numbers.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem ./internal/jobs; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchmem ./internal/core; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkBuildPinned' -benchmem ./internal/core; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \
 	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; \
 	  BENCH=1 sh scripts/loadtest_smoke.sh; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_PR13.json
+	  | $(GO) run ./cmd/benchjson > BENCH_PR15.json
 
 # Build embedserver, boot it on a random port, hit /healthz and /v1/embed,
 # and check it drains cleanly on SIGTERM.

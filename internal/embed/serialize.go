@@ -99,11 +99,20 @@ func FromSerial(s *Serial) (*Embedding, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Check the map length before allocating: the guest string is
+	// untrusted, and its node count may be absurd or overflow.
+	nodes := 1
+	for _, l := range gs {
+		if nodes > len(s.Map)/l {
+			return nil, fmt.Errorf("embed: map covers %d nodes, guest %s has more", len(s.Map), s.Guest)
+		}
+		nodes *= l
+	}
+	if nodes != len(s.Map) {
+		return nil, fmt.Errorf("embed: map covers %d of %d guest nodes", len(s.Map), nodes)
+	}
 	e := New(gs, s.Cube)
 	e.Family = fam
-	if len(s.Map) != len(e.Map) {
-		return nil, fmt.Errorf("embed: map covers %d of %d guest nodes", len(s.Map), len(e.Map))
-	}
 	for i, h := range s.Map {
 		e.Map[i] = cube.Node(h)
 	}

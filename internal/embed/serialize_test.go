@@ -2,6 +2,7 @@ package embed
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,4 +206,54 @@ func BenchmarkSerialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzFromSerial decodes arbitrary JSON as a Serial: FromSerial must never
+// panic or allocate for a guest its map does not cover, and every accepted
+// embedding must round-trip through Serial unchanged.
+func FuzzFromSerial(f *testing.F) {
+	cases := []*Embedding{Gray(mesh.Shape{3, 5}), manyToOne(mesh.Shape{3, 3})}
+	torus := Gray(mesh.Shape{8, 4})
+	torus.Family = guest.Torus
+	cyl := Gray(mesh.Shape{3, 4})
+	cyl.Family = guest.Cylinder
+	cases = append(cases, torus, cyl, TreeInorder(mesh.Shape{15}))
+	for _, e := range cases {
+		data, err := json.Marshal(e.Serial())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, seed := range []string{
+		`{"version":2,"guest":"3x5","cube":4,"map":[]}`,
+		`{"version":1,"guest":"3x0","cube":4,"map":[0]}`,
+		`{"version":1,"guest":"2","cube":1,"map":[0,1152921504606846976]}`,
+		`{"version":1,"guest":"100000x100000x100000","cube":62,"map":[0]}`,
+		`{"version":1,"guest":"4","family":"mesh","wrap":true,"cube":2,"map":[0,1,3,2]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Serial
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		e, err := FromSerial(&s)
+		if err != nil {
+			return
+		}
+		back, err := FromSerial(e.Serial())
+		if err != nil {
+			t.Fatalf("re-decoding %+v: %v", e.Serial(), err)
+		}
+		if !back.Guest.Equal(e.Guest) || back.Family != e.Family || back.N != e.N || !slices.Equal(back.Map, e.Map) {
+			t.Fatalf("round trip changed %+v into %+v", e.Serial(), back.Serial())
+		}
+		if e.N <= 12 {
+			if got, want := e.Measure(), e.measureOnHost(); got != want {
+				t.Fatalf("%+v: fused %v, oracle %v", s, got, want)
+			}
+		}
+	})
 }
