@@ -17,9 +17,6 @@ var pinnedKernelShapes = []mesh.Shape{{2, 22, 5557}, {7, 96, 337}}
 // guest-edge slot, so the total is dominated by the node maps, the 2^18
 // host-node tables and the link-load vector.
 func TestPinnedBuildMemory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a 244k-node embedding")
-	}
 	p := PlanShape(mesh.Shape{2, 22, 5557}, DefaultOptions)
 	const limit = 16 << 20
 	var before, after runtime.MemStats

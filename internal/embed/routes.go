@@ -24,20 +24,20 @@ import (
 // every dimension by the same amount keeps their relative order.  Only a
 // reversal of the edge's orientation changes the code (ReverseRoute).
 
-// MaxRouteDist is the largest endpoint distance a route code can order.
-const MaxRouteDist = 4
+// maxRouteDist is the largest endpoint distance a route code can order.
+const maxRouteDist = 4
 
 // routeCount[d] is d!, the number of shortest routes at distance d.
-var routeCount = [MaxRouteDist + 1]int{1, 1, 2, 6, 24}
+var routeCount = [maxRouteDist + 1]int{1, 1, 2, 6, 24}
 
 // routeOrder[d][c] packs the flip order of rank c at distance d, two bits
 // per step: step j flips the (routeOrder[d][c]>>2j)&3-th differing bit in
 // ascending order.  routeReverse[d][c] is the rank of the same path walked
 // from its other end, i.e. of the reversed flip order.
-var routeOrder, routeReverse [MaxRouteDist + 1][24]uint8
+var routeOrder, routeReverse [maxRouteDist + 1][24]uint8
 
 func init() {
-	for d := 0; d <= MaxRouteDist; d++ {
+	for d := 0; d <= maxRouteDist; d++ {
 		rank := map[uint8]uint8{}
 		perm := make([]int, d)
 		var orders []uint8
@@ -73,19 +73,19 @@ func init() {
 
 // ReverseRoute returns the code of the route coded c between endpoint
 // images d apart, walked from the other end.  Only distances 2 to
-// MaxRouteDist have a choice of route; any other edge keeps code 0, the
+// maxRouteDist have a choice of route; any other edge keeps code 0, the
 // e-cube route from whichever end generates it.
 func ReverseRoute(c uint8, d int) uint8 {
-	if d < 2 || d > MaxRouteDist {
+	if d < 2 || d > maxRouteDist {
 		return c
 	}
 	return routeReverse[d][c]
 }
 
 // routeBits returns the d differing bits of diff (d = popcount(diff) ≤
-// MaxRouteDist) in the flip order of route code c.
-func routeBits(diff uint64, c uint8) (flips [MaxRouteDist]uint64) {
-	var asc [MaxRouteDist]uint64
+// maxRouteDist) in the flip order of route code c.
+func routeBits(diff uint64, c uint8) (flips [maxRouteDist]uint64) {
+	var asc [maxRouteDist]uint64
 	d := 0
 	for ; diff != 0; d++ {
 		asc[d] = diff & -diff
@@ -118,16 +118,8 @@ func routeSlot(ed mesh.Edge, dims int, tree bool) int {
 	return ed.U*dims + ed.Axis
 }
 
-// route returns the code of the edge's pinned route, 0 when unpinned.
-func (e *Embedding) route(ed mesh.Edge) uint8 {
-	if e.Routes == nil {
-		return 0
-	}
-	return e.Routes[routeSlot(ed, e.Guest.Dims(), e.Family == guest.Tree)]
-}
-
 // verifyRoutes checks the route table: it has one byte per slot, a nonzero
-// code sits only on an edge whose images are 2..MaxRouteDist apart and is
+// code sits only on an edge whose images are 2..maxRouteDist apart and is
 // below d!, and every slot no edge owns is 0.
 func (e *Embedding) verifyRoutes() error {
 	if e.Routes == nil {
@@ -154,7 +146,7 @@ func (e *Embedding) verifyRoutes() error {
 			return
 		}
 		matched++
-		if d := cube.Dist(e.Map[ed.U], e.Map[ed.V]); d < 2 || d > MaxRouteDist || int(c) >= routeCount[d] {
+		if d := cube.Dist(e.Map[ed.U], e.Map[ed.V]); d < 2 || d > maxRouteDist || int(c) >= routeCount[d] {
 			bad = fmt.Errorf("embed: edge (%d,%d): route code %d invalid at distance %d", ed.U, ed.V, c, d)
 		}
 	})
@@ -180,7 +172,7 @@ func flipLink(cur, bit uint64, n int) int {
 }
 
 // RealizeMinCongestion chooses, for every guest edge whose images are 2 to
-// MaxRouteDist apart, the shortest route with the lightest maximum link
+// maxRouteDist apart, the shortest route with the lightest maximum link
 // load so far (greedy in edge order, first lightest in rank order), and
 // records it in Routes, replacing any earlier choice.  Other edges keep the
 // e-cube route.  This is how the congestion-2 figures of the direct
@@ -193,7 +185,7 @@ func (e *Embedding) RealizeMinCongestion() {
 		a := uint64(e.Map[ed.U])
 		diff := a ^ uint64(e.Map[ed.V])
 		d := mathbits.OnesCount64(diff)
-		if d < 2 || d > MaxRouteDist {
+		if d < 2 || d > maxRouteDist {
 			for cur := a; diff != 0; diff &= diff - 1 {
 				bit := diff & -diff
 				loads[flipLink(cur, bit, n)]++

@@ -9,6 +9,14 @@ import (
 	"repro/internal/mesh"
 )
 
+// route returns the code of the edge's pinned route, 0 when unpinned.
+func (e *Embedding) route(ed mesh.Edge) uint8 {
+	if e.Routes == nil {
+		return 0
+	}
+	return e.Routes[routeSlot(ed, e.Guest.Dims(), e.Family == guest.Tree)]
+}
+
 // routePath materializes an edge's route the slow way: the e-cube route, or
 // the pinned code's entry in cube.ShortestPaths, whose enumeration order is
 // the rank order route codes count in.
