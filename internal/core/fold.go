@@ -63,16 +63,16 @@ func unfold(fe *embed.Embedding, guest mesh.Shape, axis, a, b int) *embed.Embedd
 			var c uint8
 			switch {
 			case i != axis:
-				c = fe.Routes[f*(last+1)+i]
+				c = fe.MeshRoute(f, i)
 			case (gc[i]+1)%b == 0: // strip seam: q → q+1 on the folded axis
-				c = fe.Routes[f*(last+1)+axis]
+				c = fe.MeshRoute(f, axis)
 			case q&1 == 0: // j → j+1 on the last axis
-				c = fe.Routes[f*(last+1)+last]
+				c = fe.MeshRoute(f, last)
 			default: // j → j−1: the folded edge runs the other way
 				g := f - lastStride
-				c = embed.ReverseRoute(fe.Routes[g*(last+1)+last], cube.Dist(fe.Map[f], fe.Map[g]))
+				c = embed.ReverseRoute(fe.MeshRoute(g, last), cube.Dist(fe.Map[f], fe.Map[g]))
 			}
-			e.Routes[idx*k+i] = c
+			e.SetMeshRoute(idx, i, c)
 		}
 	}
 	return e

@@ -63,7 +63,6 @@ func Product(e1, e2 *embed.Embedding) *embed.Embedding {
 	if pinned {
 		out.Routes = make([]uint8, out.RouteSlots())
 	}
-	d1, d2 := e1.Guest.Dims(), e2.Guest.Dims()
 	stride1 := make([]int, k)
 	for i, st := 0, 1; i < k; i++ {
 		stride1[i] = st
@@ -97,25 +96,17 @@ func Product(e1, e2 *embed.Embedding) *embed.Embedding {
 			var c uint8
 			switch {
 			case (zc[i]+1)%s1[i] == 0:
-				c = routeCode(e2, u2*d2+i)
+				c = e2.MeshRoute(u2, i)
 			case yc[i]&1 == 0:
-				c = routeCode(e1, u1*d1+i)
+				c = e1.MeshRoute(u1, i)
 			case e1.Routes != nil:
 				v1 := u1 - stride1[i]
-				c = embed.ReverseRoute(e1.Routes[v1*d1+i], cube.Dist(e1.Map[u1], e1.Map[v1]))
+				c = embed.ReverseRoute(e1.MeshRoute(v1, i), cube.Dist(e1.Map[u1], e1.Map[v1]))
 			}
-			out.Routes[z*k+i] = c
+			out.SetMeshRoute(z, i, c)
 		}
 	}
 	return out
-}
-
-// routeCode returns the route code in slot of e, 0 when e pins nothing.
-func routeCode(e *embed.Embedding, slot int) uint8 {
-	if e.Routes == nil {
-		return 0
-	}
-	return e.Routes[slot]
 }
 
 // SubMesh restricts an embedding to a smaller mesh contained in its guest
@@ -135,8 +126,7 @@ func SubMesh(e *embed.Embedding, target mesh.Shape) *embed.Embedding {
 	if e.Routes != nil {
 		out.Routes = make([]uint8, out.RouteSlots())
 	}
-	k, dIn := tgt.Dims(), e.Guest.Dims()
-	coord := make([]int, k)
+	coord := make([]int, tgt.Dims())
 	for i := range out.Map {
 		tgt.CoordInto(i, coord)
 		bi := big.Index(coord)
@@ -145,9 +135,9 @@ func SubMesh(e *embed.Embedding, target mesh.Shape) *embed.Embedding {
 			continue
 		}
 		// Submesh edges are mesh edges with the same lower endpoint.
-		for ax := 0; ax < dIn; ax++ {
+		for ax := 0; ax < e.Guest.Dims(); ax++ {
 			if coord[ax]+1 < tgt[ax] {
-				out.Routes[i*k+ax] = e.Routes[bi*dIn+ax]
+				out.SetMeshRoute(i, ax, e.MeshRoute(bi, ax))
 			}
 		}
 	}

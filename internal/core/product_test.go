@@ -161,10 +161,8 @@ func TestProductPathsStayInCopies(t *testing.T) {
 // cube.ShortestPaths rank order, or the e-cube route for code 0.
 func meshRoute(e *embed.Embedding, ed mesh.Edge) cube.Path {
 	a, b := e.Map[ed.U], e.Map[ed.V]
-	if e.Routes != nil {
-		if c := e.Routes[ed.U*e.Guest.Dims()+ed.Axis]; c != 0 {
-			return cube.ShortestPaths(a, b)[c]
-		}
+	if c := e.MeshRoute(ed.U, ed.Axis); c != 0 {
+		return cube.ShortestPaths(a, b)[c]
 	}
 	return cube.Route(a, b)
 }

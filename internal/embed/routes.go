@@ -107,6 +107,21 @@ func (e *Embedding) RouteSlots() int {
 	return e.Guest.Nodes() * e.Guest.Dims()
 }
 
+// MeshRoute returns the route code of the edge that node generates along
+// axis in a mesh (node → node + stride(axis)), 0 when nothing is pinned.
+func (e *Embedding) MeshRoute(node, axis int) uint8 {
+	if e.Routes == nil {
+		return 0
+	}
+	return e.Routes[node*e.Guest.Dims()+axis]
+}
+
+// SetMeshRoute records route code c for the edge that node generates along
+// axis in a mesh; Routes must already hold RouteSlots() bytes.
+func (e *Embedding) SetMeshRoute(node, axis int, c uint8) {
+	e.Routes[node*e.Guest.Dims()+axis] = c
+}
+
 // routeSlot returns the Routes index of a guest edge (see Embedding.Routes).
 func routeSlot(ed mesh.Edge, dims int, tree bool) int {
 	switch {
