@@ -72,9 +72,9 @@ func init() {
 }
 
 // ReverseRoute returns the code of the route coded c between endpoint
-// images d apart, walked from the other end.  Only distances 2 to
-// maxRouteDist have a choice of route; any other edge keeps code 0, the
-// e-cube route from whichever end generates it.
+// images d apart, walked from the other end.  Only distances 2 to 4 have
+// a choice of route; any other edge keeps code 0, the e-cube route from
+// whichever end generates it.
 func ReverseRoute(c uint8, d int) uint8 {
 	if d < 2 || d > maxRouteDist {
 		return c
