@@ -97,19 +97,20 @@ bench-short:
 # p50/p95/p99 + shed/error rates against a booted server, via the smoke
 # script in BENCH=1 mode); since PR 10 the embed suite also covers the
 # wirelength accumulator inside the fused pass (same 8 allocs/op budget),
-# and since PR 13 a multi-worker Measure shares one link-load vector, so
-# its B/op no longer scales with the worker count; BenchmarkBuildPinned
-# times Build + Verify + Measure of the heaviest pinned-route plans; see
-# EXPERIMENTS.md for the recorded numbers.
+# a pass that runs on one goroutine and counts one byte per host link;
+# BenchmarkBuildPinned times Build + Verify + Measure of the
+# heaviest pinned-route plans.  The embed and core suites run five times
+# (-count 5) and benchjson folds the runs into median, min and max per
+# benchmark; see EXPERIMENTS.md for the recorded numbers.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem -count 5 ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem ./internal/jobs; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkBuildPinned' -benchmem ./internal/core; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkBuildPinned' -benchmem -count 5 ./internal/core; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \
 	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; \
 	  BENCH=1 sh scripts/loadtest_smoke.sh; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_PR15.json
+	  | $(GO) run ./cmd/benchjson > BENCH_PR16.json
 
 # Build embedserver, boot it on a random port, hit /healthz and /v1/embed,
 # and check it drains cleanly on SIGTERM.

@@ -86,7 +86,6 @@ func printPlanTrace(w io.Writer, pt *core.PlanTrace, indent string) {
 func cmdTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	out := fs.String("o", "trace.json", "output file for the Chrome trace-event JSON")
-	workers := fs.Int("workers", 0, "metrics-engine workers (<1: GOMAXPROCS)")
 	job := fs.String("job", "", "export a finished job's trace from a server instead of tracing a local run")
 	addr := fs.String("addr", "http://127.0.0.1:8080", "embedserver base URL (with -job)")
 	_ = fs.Parse(args)
@@ -117,7 +116,7 @@ func cmdTrace(args []string) {
 		fmt.Fprintln(os.Stderr, "embedctl: INVALID EMBEDDING:", verr)
 		os.Exit(1)
 	}
-	m := e.MeasureParallelCtx(ctx, *workers)
+	m := e.MeasureCtx(ctx)
 	root.End()
 
 	f, err := os.Create(*out)

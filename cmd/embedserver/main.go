@@ -89,7 +89,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	workers := flag.Int("workers", 0, "metrics-engine workers per measurement (<1: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "workers for a compare's simnet rounds and for executed fabric chunks (<1: GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 1024, "fully-measured result LRU entries (negative disables)")
 	maxInflight := flag.Int("max-inflight", 256, "concurrently served API requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")

@@ -33,7 +33,7 @@ func shapesUpTo(f guest.Family, maxNodes int) []mesh.Shape {
 }
 
 // edgeList materializes the family's edge set through the same iterator
-// the fused metrics pass shards over.
+// the fused metrics pass walks.
 func edgeList(f guest.Family, s mesh.Shape) [][2]int {
 	var edges [][2]int
 	guest.Get(f).EachEdgeRange(s, 0, s.Nodes(), func(e mesh.Edge) {

@@ -14,18 +14,19 @@ var pinnedKernelShapes = []mesh.Shape{{2, 22, 5557}, {7, 96, 337}}
 
 // TestPinnedBuildMemory bounds the bytes allocated by building, verifying
 // and measuring the 2x22x5557 plan.  The route table costs one byte per
-// guest-edge slot, so the total is dominated by the node maps, the 2^18
-// host-node tables and the link-load vector.
+// guest-edge slot and a link load one byte per host link, so the total is
+// dominated by the node maps (7.5 MiB measured; 15.2 MiB with four-byte
+// link loads).
 func TestPinnedBuildMemory(t *testing.T) {
 	p := PlanShape(mesh.Shape{2, 22, 5557}, DefaultOptions)
-	const limit = 16 << 20
+	const limit = 10 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e := p.Build()
 	if err := e.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	m := e.MeasureParallel(2)
+	m := e.Measure()
 	runtime.ReadMemStats(&after)
 	if m.Congestion != 2 {
 		t.Errorf("%s: congestion %d, want 2", p, m.Congestion)
@@ -49,7 +50,7 @@ func BenchmarkBuildPinned(b *testing.B) {
 				if err := e.Verify(); err != nil {
 					b.Fatal(err)
 				}
-				if m := e.MeasureParallel(2); m.Congestion < 1 {
+				if m := e.Measure(); m.Congestion < 1 {
 					b.Fatalf("metrics: %s", m)
 				}
 			}

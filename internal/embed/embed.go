@@ -86,13 +86,13 @@ func (e *Embedding) EdgeDilation(u, v int) int {
 // Dilation returns the maximum edge dilation (Definition 2).  It is a thin
 // wrapper over the fused metrics engine (metrics.go).
 func (e *Embedding) Dilation() int {
-	return e.fusedPass(context.Background(), 0, false).maxDil
+	return e.fusedPass(context.Background(), false).maxDil
 }
 
 // AvgDilation returns the mean edge dilation (Definition 2).  It returns 0
 // for guests with no edges.
 func (e *Embedding) AvgDilation() float64 {
-	st := e.fusedPass(context.Background(), 0, false)
+	st := e.fusedPass(context.Background(), false)
 	if st.edges == 0 {
 		return 0
 	}
@@ -102,7 +102,7 @@ func (e *Embedding) AvgDilation() float64 {
 // AxisAvgDilation returns the mean dilation of the edges along one guest
 // axis (the d̄₂(i) of Section 4.1), or 0 if the axis has no edges.
 func (e *Embedding) AxisAvgDilation(axis int) float64 {
-	st := e.fusedPass(context.Background(), 0, false)
+	st := e.fusedPass(context.Background(), false)
 	if axis < 0 || axis >= len(st.axisSum) || st.axisCnt[axis] == 0 {
 		return 0
 	}
@@ -112,23 +112,17 @@ func (e *Embedding) AxisAvgDilation(axis int) float64 {
 // LinkLoads returns the congestion of every host link under the current
 // path realization, indexed by cube.LinkIndex.
 func (e *Embedding) LinkLoads() []int {
-	st := e.fusedPass(context.Background(), 0, true)
-	loads := make([]int, cube.NumLinks(e.N))
-	for i, c := range st.loads {
-		loads[i] = int(c)
+	st := e.fusedPass(context.Background(), true)
+	loads := make([]int, len(st.loads))
+	for i := range loads {
+		loads[i] = st.load(i)
 	}
 	return loads
 }
 
 // Congestion returns the maximum link congestion (Definition 3).
 func (e *Embedding) Congestion() int {
-	max := 0
-	for _, c := range e.fusedPass(context.Background(), 0, true).loads {
-		if int(c) > max {
-			max = int(c)
-		}
-	}
-	return max
+	return e.fusedPass(context.Background(), true).maxLoad
 }
 
 // AvgCongestion returns the mean congestion over all host links
@@ -139,30 +133,55 @@ func (e *Embedding) AvgCongestion() float64 {
 	if numLinks == 0 {
 		return 0
 	}
-	return float64(e.fusedPass(context.Background(), 0, false).dilSum) / float64(numLinks)
+	return float64(e.fusedPass(context.Background(), false).dilSum) / float64(numLinks)
 }
 
 // LoadFactor returns the maximum number of guest nodes sharing a host node
-// (Definition 5).  For a valid one-to-one embedding it is 1.  Small cubes
+// (Definition 5).  For a valid one-to-one embedding it is 1, which one bit
+// per host node proves; only a collision pays for counting.  Small cubes
 // are counted in a dense slice; cubes above denseNodeLimit fall back to a
 // map.
 func (e *Embedding) LoadFactor() int {
 	hn := e.HostNodes()
-	if hn <= denseNodeLimit {
-		counts := make([]int32, hn)
-		max := int32(0)
-		for _, h := range e.Map {
-			if int64(h) >= int64(hn) {
-				return e.loadFactorMap() // invalid image; stay permissive like the map path
-			}
-			counts[h]++
-			if counts[h] > max {
-				max = counts[h]
-			}
-		}
-		return int(max)
+	if len(e.Map) == 0 || hn > denseNodeLimit {
+		return e.loadFactorMap()
 	}
-	return e.loadFactorMap()
+	dup, inCube := e.firstCollision()
+	if !inCube {
+		return e.loadFactorMap() // invalid image; stay permissive like the map path
+	}
+	if dup < 0 {
+		return 1
+	}
+	counts := make([]int32, hn)
+	max := int32(0)
+	for _, h := range e.Map {
+		counts[h]++
+		if counts[h] > max {
+			max = counts[h]
+		}
+	}
+	return int(max)
+}
+
+// firstCollision returns the first guest node whose image an earlier guest
+// node already holds, or -1 for an injective map, counting in one bit per
+// host node.  inCube is false, and dup meaningless, when an image lies
+// outside the cube.  The cube must have at most denseNodeLimit nodes.
+func (e *Embedding) firstCollision() (dup int, inCube bool) {
+	hn := uint64(e.HostNodes())
+	seen := make([]uint64, (hn+63)/64)
+	for i, h := range e.Map {
+		if uint64(h) >= hn {
+			return -1, false
+		}
+		w, bit := h/64, uint64(1)<<(h%64)
+		if seen[w]&bit != 0 {
+			return i, true
+		}
+		seen[w] |= bit
+	}
+	return -1, true
 }
 
 func (e *Embedding) loadFactorMap() int {
@@ -190,19 +209,16 @@ func (e *Embedding) Verify() error {
 	if err := e.verifyCommon(); err != nil {
 		return err
 	}
-	if hn := e.HostNodes(); hn <= denseNodeLimit {
-		// Dense injectivity check: one bit per host node (verifyCommon
-		// bounds every image).  Only a duplicate pays for finding the
-		// earlier guest node that claimed its image.
-		seen := make([]uint64, (hn+63)/64)
-		for i, h := range e.Map {
-			w, bit := h/64, uint64(1)<<(h%64)
-			if seen[w]&bit != 0 {
-				prev := slices.Index(e.Map, h)
-				return fmt.Errorf("embed: guest nodes %v and %v both map to cube node %d",
-					e.Guest.Coord(prev), e.Guest.Coord(i), h)
-			}
-			seen[w] |= bit
+	if e.HostNodes() <= denseNodeLimit {
+		// Dense injectivity check (verifyCommon bounds every image).  Only
+		// a duplicate pays for finding the earlier guest node that claimed
+		// its image.
+		i, _ := e.firstCollision()
+		if i >= 0 {
+			h := e.Map[i]
+			prev := slices.Index(e.Map, h)
+			return fmt.Errorf("embed: guest nodes %v and %v both map to cube node %d",
+				e.Guest.Coord(prev), e.Guest.Coord(i), h)
 		}
 		return nil
 	}
@@ -259,12 +275,10 @@ type Metrics struct {
 	LoadFactor    int
 }
 
-// Measure computes all metrics of the embedding in one fused edge pass
-// (see metrics.go), parallelized over guest-node blocks for large meshes.
-// The result is bit-identical for every worker count; MeasureParallel
-// exposes the worker knob.
+// Measure computes all metrics of the embedding in one fused edge pass on
+// the caller's goroutine (see metrics.go).
 func (e *Embedding) Measure() Metrics {
-	return e.MeasureParallel(0)
+	return e.MeasureCtx(context.Background())
 }
 
 // String renders the metrics compactly.  The torus keeps its historical

@@ -23,6 +23,28 @@ func Gray(s mesh.Shape) *Embedding {
 	return e
 }
 
+// GrayMetrics returns Gray(s).Measure() without building the embedding:
+// the Gray map is injective and joins the ends of every mesh edge by one
+// host link, so no two edges share a link.
+func GrayMetrics(s mesh.Shape) Metrics {
+	e := &Embedding{Guest: s, N: s.GrayCubeDim()}
+	edges := int64(s.Edges())
+	m := Metrics{
+		Guest:      s.String(),
+		Family:     guest.Mesh.String(),
+		CubeDim:    e.N,
+		Expansion:  e.Expansion(),
+		Minimal:    e.Minimal(),
+		Wirelength: edges,
+		LoadFactor: 1,
+	}
+	if edges > 0 {
+		m.Dilation, m.AvgDilation, m.Congestion = 1, 1, 1
+		m.AvgCongestion = float64(edges) / float64(cube.NumLinks(e.N))
+	}
+	return m
+}
+
 // GrayRing returns the dilation-one embedding of a wraparound axis of
 // power-of-two length: the cyclic Gray code.  For a multi-axis torus with
 // all power-of-two axes, Gray already yields dilation one including the

@@ -87,7 +87,7 @@ func BenchmarkLinkLoads(b *testing.B) {
 }
 
 // BenchmarkMeasureTraced measures the fully-traced Measure path (a root span
-// per iteration, so the fused pass, sweep workers and shards all record) for
+// per iteration, so the measure and fused-pass spans record) for
 // the off-vs-on overhead comparison of EXPERIMENTS.md.
 func BenchmarkMeasureTraced(b *testing.B) {
 	cases := []struct {
@@ -105,7 +105,7 @@ func BenchmarkMeasureTraced(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx, root := obs.StartRoot(context.Background(), "bench")
-				m := c.e.MeasureParallelCtx(ctx, 0)
+				m := c.e.MeasureCtx(ctx)
 				root.End()
 				if m.Dilation < 1 {
 					b.Fatalf("metrics: %s", m)

@@ -116,34 +116,49 @@ func TestFusedMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMeasureParallelEquivalence(t *testing.T) {
-	for name, e := range metricsTestEmbeddings() {
-		want := e.MeasureParallel(1)
-		for _, w := range []int{2, 4, 8} {
-			if got := e.MeasureParallel(w); got != want {
-				t.Errorf("%s: workers=%d gives %v, serial gives %v", name, w, got, want)
-			}
+// measureConcurrently measures every embedding on its own goroutine — the
+// way the server runs one Measure per request — and checks each result
+// against the measureOnHost oracle.
+func measureConcurrently(t *testing.T, es map[string]*Embedding) {
+	t.Helper()
+	got := make(map[string]Metrics, len(es))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for name, e := range es {
+		wg.Add(1)
+		go func(name string, e *Embedding) {
+			defer wg.Done()
+			m := e.Measure()
+			mu.Lock()
+			got[name] = m
+			mu.Unlock()
+		}(name, e)
+	}
+	wg.Wait()
+	for name, e := range es {
+		if want := e.measureOnHost(); got[name] != want {
+			t.Errorf("%s: concurrent Measure %+v, oracle %+v", name, got[name], want)
 		}
 	}
 }
 
-// TestMeasureParallelLargeMesh forces the parallel path (the 24x24x24 Gray
-// mesh has ~40k edges, above parallelEdgeThreshold) and checks it against
-// the serial reference.
+// TestMeasureParallelEquivalence runs the metrics test set's Measures in
+// parallel, one goroutine each, against the oracle.
+func TestMeasureParallelEquivalence(t *testing.T) {
+	measureConcurrently(t, metricsTestEmbeddings())
+}
+
+// TestMeasureParallelLargeMesh runs the 24x24x24 Gray mesh (~40k edges
+// into a 15-cube) and its torus and cylinder readings in parallel.
 func TestMeasureParallelLargeMesh(t *testing.T) {
-	e := Gray(mesh.Shape{24, 24, 24})
-	if e.NumGuestEdges() < parallelEdgeThreshold {
-		t.Fatal("test mesh too small to exercise the parallel path")
+	s := mesh.Shape{24, 24, 24}
+	es := map[string]*Embedding{"gray-24x24x24": Gray(s)}
+	for _, f := range []guest.Family{guest.Torus, guest.Cylinder} {
+		e := Gray(s)
+		e.Family = f
+		es[f.String()+"-24x24x24"] = e
 	}
-	want := e.MeasureParallel(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := e.MeasureParallel(w); got != want {
-			t.Errorf("workers=%d gives %v, serial gives %v", w, got, want)
-		}
-	}
-	if got := e.Measure(); got != want {
-		t.Errorf("auto workers give %v, serial gives %v", got, want)
-	}
+	measureConcurrently(t, es)
 }
 
 // TestPerMetricWrappersMatchMeasure pins the thin-wrapper contract: each
@@ -222,45 +237,45 @@ func TestAxisAvgDilationFused(t *testing.T) {
 }
 
 // TestConcurrentMeasureSharedEmbedding hammers shared Embeddings (with
-// pinned routes, so concurrent route-table reads and the shared load vector's
-// atomic adds are exercised) from many goroutines, each running its own
-// multi-worker passes; run under -race via the Makefile race target.
+// pinned routes, so concurrent route-table reads are exercised) from many
+// goroutines, each running its own passes; run under -race via the
+// Makefile race target.
 func TestConcurrentMeasureSharedEmbedding(t *testing.T) {
 	for _, e := range []*Embedding{benchPinned(), pinnedIdentity(mesh.Shape{9, 10, 12})} {
-		want := e.MeasureParallel(1)
+		want := e.measureOnHost()
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					if got := e.MeasureParallel(w%4 + 2); got != want {
+					if got := e.Measure(); got != want {
 						t.Errorf("%s: concurrent measure diverged: %v != %v", e.Guest, got, want)
 						return
 					}
 				}
-			}(g)
+			}()
 		}
 		wg.Wait()
 	}
 }
 
-// TestMeasureMemoryIndependentOfWorkers pins the shared load vector: a
-// multi-worker Measure allocates one link-load vector (4·N·2^(N−1) bytes)
-// plus LoadFactor's 2^N counters, not one load vector per worker.
-func TestMeasureMemoryIndependentOfWorkers(t *testing.T) {
+// TestMeasureMemory bounds what one Measure allocates: a byte per host
+// link for the loads, a bit per host node for LoadFactor's injectivity
+// check, and a little fixed overhead.
+func TestMeasureMemory(t *testing.T) {
 	e := Gray(mesh.Shape{24, 24, 24})
-	limit := 4*uint64(cube.NumLinks(e.N)) + 4<<uint(e.N) + 16<<10
-	e.MeasureParallel(2)
+	limit := uint64(cube.NumLinks(e.N)) + uint64(e.HostNodes())/8 + 16<<10
+	e.Measure()
 	var before, after runtime.MemStats
-	for _, w := range []int{2, 4, 8} {
+	for i := 0; i < 3; i++ {
 		runtime.ReadMemStats(&before)
-		e.MeasureParallel(w)
+		e.Measure()
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-			t.Errorf("workers=%d: Measure allocated %d bytes, limit %d", w, got, limit)
+			t.Errorf("run %d: Measure allocated %d bytes, limit %d", i, got, limit)
 		} else {
-			t.Logf("workers=%d: %d bytes (limit %d)", w, got, limit)
+			t.Logf("run %d: %d bytes (limit %d)", i, got, limit)
 		}
 	}
 }
@@ -293,5 +308,29 @@ func TestLoadFactorDenseAndInvalidImages(t *testing.T) {
 	e.Map[0] = cube.Node(1 << 30)
 	if got := e.LoadFactor(); got != 3 {
 		t.Errorf("load with stray image = %d, want 3", got)
+	}
+}
+
+// TestGrayMetricsClosedForm pins the closed-form Gray row of a mesh
+// compare to the measured Gray embedding, field for field, over every
+// shape of up to three axes of length ≤ 9 (length-1 and length-2 axes and
+// 1x1x1 among them) and a few longer and four-axis shapes.
+func TestGrayMetricsClosedForm(t *testing.T) {
+	var shapes []mesh.Shape
+	for a := 1; a <= 9; a++ {
+		shapes = append(shapes, mesh.Shape{a})
+		for b := 1; b <= 9; b++ {
+			shapes = append(shapes, mesh.Shape{a, b})
+			for c := 1; c <= 9; c++ {
+				shapes = append(shapes, mesh.Shape{a, b, c})
+			}
+		}
+	}
+	shapes = append(shapes, mesh.Shape{1}, mesh.Shape{1, 1, 1, 1}, mesh.Shape{2, 1, 2, 1},
+		mesh.Shape{3, 1, 5, 2}, mesh.Shape{33, 2, 17}, mesh.Shape{64, 1, 64}, mesh.Shape{1000})
+	for _, s := range shapes {
+		if got, want := GrayMetrics(s), Gray(s).Measure(); got != want {
+			t.Errorf("%v:\n closed form %+v\n measured    %+v", s, got, want)
+		}
 	}
 }

@@ -181,9 +181,12 @@ func (e *Embedding) verifyRoutes() error {
 }
 
 // flipLink returns the cube.LinkIndex of the link crossed by flipping the
-// single bit `bit` of node cur in an n-cube.
+// single bit `bit` of node cur in an n-cube: the bit's dimension block,
+// then the row of cur with that bit squeezed out — the bits below it in
+// place, the bits above it shifted down by one.
 func flipLink(cur, bit uint64, n int) int {
-	return cube.LinkIndex(cube.Link{Lo: cube.Node(cur &^ bit), Dim: mathbits.TrailingZeros64(bit)}, n)
+	below := bit - 1
+	return mathbits.TrailingZeros64(bit)<<uint(n-1) | int(cur&below|cur>>1&^below)
 }
 
 // RealizeMinCongestion chooses, for every guest edge whose images are 2 to

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -191,4 +192,19 @@ func FuzzVerifyRoutes(f *testing.F) {
 			t.Fatalf("%s %v routes %v: fused %v, oracle %v", e.Family, e.Guest, routes, got, want)
 		}
 	})
+}
+
+// TestFlipLinkMatchesLinkIndex pins the engine's link index of a bit flip
+// to cube.LinkIndex of the link it crosses, from either endpoint.
+func TestFlipLinkMatchesLinkIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + r.Intn(40)
+		cur := r.Uint64() & (1<<uint(n) - 1)
+		dim := r.Intn(n)
+		want := cube.LinkIndex(cube.Link{Lo: cube.Node(cur &^ (1 << uint(dim))), Dim: dim}, n)
+		if got := flipLink(cur, 1<<uint(dim), n); got != want {
+			t.Fatalf("n=%d cur=%b dim=%d: flipLink %d, LinkIndex %d", n, cur, dim, got, want)
+		}
+	}
 }

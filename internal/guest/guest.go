@@ -14,8 +14,8 @@
 //	          binary tree
 //
 // Each family's Desc bundles exactly what the layers above need: edge
-// count, the partitionable EachEdgeRange enumeration the parallel metrics
-// engine shards over, the canonical form under which plans and results are
+// count, the partitionable EachEdgeRange enumeration the fused metrics
+// pass walks, the canonical form under which plans and results are
 // cached, family-specific shape validation, and the strategy-applicability
 // gates the planner consults (Decomposable, Wraps).
 //
@@ -71,8 +71,7 @@ type Desc struct {
 	Edges func(s mesh.Shape) int
 
 	// EachEdgeRange enumerates the edges generated by node indices
-	// [lo, hi).  A partition of [0, Nodes()) must partition the edge set —
-	// the contract the parallel metrics engine shards over.
+	// [lo, hi).  A partition of [0, Nodes()) must partition the edge set.
 	EachEdgeRange func(s mesh.Shape, lo, hi int, fn func(mesh.Edge))
 
 	// Canonical returns the cache-canonical shape and the axis map

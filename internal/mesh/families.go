@@ -8,8 +8,7 @@ import "sort"
 // arXiv:2204.12079) and the complete binary tree (a single-axis shape
 // [2^h − 1] read as the heap-ordered tree).  All share the partitionable
 // EachEdgeRange idiom: the edges generated by disjoint node-index ranges
-// are disjoint and their union is the full edge set, which is what the
-// parallel metrics engine shards over.
+// are disjoint and their union is the full edge set.
 
 // CylinderEdges returns the number of edges when only the last axis wraps:
 // the mesh edges plus one ring-closing edge per line of the last axis
@@ -38,24 +37,7 @@ func (s Shape) EachCylinderEdge(fn func(Edge)) {
 // exactly as in EachTorusEdgeRange, so disjoint index ranges generate
 // disjoint edge sets.
 func (s Shape) EachCylinderEdgeRange(lo, hi int, fn func(Edge)) {
-	coord := make([]int, len(s))
-	stride := make([]int, len(s))
-	st := 1
-	for i, l := range s {
-		stride[i] = st
-		st *= l
-	}
-	k := len(s) - 1
-	for idx := lo; idx < hi; idx++ {
-		s.CoordInto(idx, coord)
-		for i := range s {
-			if coord[i]+1 < s[i] {
-				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			} else if i == k && s[i] > 2 && coord[i] == s[i]-1 {
-				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
-			}
-		}
-	}
+	s.eachGridEdgeRange(lo, hi, len(s)-1, fn)
 }
 
 // TreeNodes reports whether the single-axis shape holds a complete binary

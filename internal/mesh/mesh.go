@@ -245,24 +245,9 @@ func (s Shape) EachEdge(fn func(Edge)) {
 
 // EachEdgeRange calls fn for the mesh edges generated by the node indices in
 // [lo, hi): the edges whose lower endpoint is one of those nodes.  A
-// partition of [0, Nodes()) therefore partitions the edge set, which is what
-// the parallel metrics engine shards over.
+// partition of [0, Nodes()) therefore partitions the edge set.
 func (s Shape) EachEdgeRange(lo, hi int, fn func(Edge)) {
-	coord := make([]int, len(s))
-	stride := make([]int, len(s))
-	st := 1
-	for i, l := range s {
-		stride[i] = st
-		st *= l
-	}
-	for idx := lo; idx < hi; idx++ {
-		s.CoordInto(idx, coord)
-		for i := range s {
-			if coord[i]+1 < s[i] {
-				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			}
-		}
-	}
+	s.eachGridEdgeRange(lo, hi, len(s), fn)
 }
 
 // EachTorusEdge calls fn for every edge of the wraparound mesh.  Ring edges
@@ -276,23 +261,55 @@ func (s Shape) EachTorusEdge(fn func(Edge)) {
 // edge is generated by its higher endpoint (the last hyperplane of its
 // axis), so disjoint index ranges again generate disjoint edge sets.
 func (s Shape) EachTorusEdgeRange(lo, hi int, fn func(Edge)) {
-	coord := make([]int, len(s))
-	stride := make([]int, len(s))
+	s.eachGridEdgeRange(lo, hi, 0, fn)
+}
+
+// eachGridEdgeRange calls fn for the edges generated by the node indices in
+// [lo, hi), node by node and axis by axis: the mesh edge to the next node
+// along each axis, and on the axes from wrapFrom on with length > 2 the
+// wraparound edge that closes the ring at its last node.
+func (s Shape) eachGridEdgeRange(lo, hi, wrapFrom int, fn func(Edge)) {
+	if lo >= hi {
+		return
+	}
+	coord, stride := s.odometer(lo, hi)
+	for idx := lo; idx < hi; idx++ {
+		for i, c := range coord {
+			if c+1 < s[i] {
+				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
+			} else if i >= wrapFrom && s[i] > 2 {
+				// c is the last coordinate: the edge back to the first
+				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
+			}
+		}
+		s.step(coord)
+	}
+}
+
+// odometer starts a walk over the node indices [lo, hi), lo < hi: it
+// returns the coordinate of lo, which step then advances one index at a
+// time without a division, and the axis strides of the dense index.
+func (s Shape) odometer(lo, hi int) (coord, stride []int) {
+	if n := s.Nodes(); hi > n {
+		panic(fmt.Sprintf("mesh: index %d out of range [0,%d)", hi-1, n))
+	}
+	coord, stride = make([]int, len(s)), make([]int, len(s))
+	s.CoordInto(lo, coord)
 	st := 1
 	for i, l := range s {
 		stride[i] = st
 		st *= l
 	}
-	for idx := lo; idx < hi; idx++ {
-		s.CoordInto(idx, coord)
-		for i := range s {
-			if coord[i]+1 < s[i] {
-				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			} else if s[i] > 2 && coord[i] == s[i]-1 {
-				// wraparound edge from the last to the first hyperplane
-				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
-			}
+	return coord, stride
+}
+
+// step advances coord to the next dense index, axis 0 fastest.
+func (s Shape) step(coord []int) {
+	for i := range coord {
+		if coord[i]++; coord[i] < s[i] {
+			return
 		}
+		coord[i] = 0
 	}
 }
 

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -336,4 +337,78 @@ func TestEdgeRangeCountsMatchFormulas(t *testing.T) {
 	if got := len(collectEdges(s, true, 0, s.Nodes())); got != s.TorusEdges() {
 		t.Errorf("torus edges %d, want %d", got, s.TorusEdges())
 	}
+}
+
+// coordEdgeRange is the division-per-node reference of the range
+// enumerations: every node's coordinate comes from CoordInto, and the wrap
+// rule names the axes with wraparound edges (nil: none).
+func coordEdgeRange(s Shape, wraps func(axis int) bool, lo, hi int) []Edge {
+	var out []Edge
+	coord := make([]int, len(s))
+	stride := make([]int, len(s))
+	st := 1
+	for i, l := range s {
+		stride[i] = st
+		st *= l
+	}
+	for idx := lo; idx < hi; idx++ {
+		s.CoordInto(idx, coord)
+		for i := range s {
+			if coord[i]+1 < s[i] {
+				out = append(out, Edge{U: idx, V: idx + stride[i], Axis: i})
+			} else if wraps != nil && wraps(i) && s[i] > 2 && coord[i] == s[i]-1 {
+				out = append(out, Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
+			}
+		}
+	}
+	return out
+}
+
+// TestOdometerMatchesCoordOrder checks that the odometer walks of the mesh,
+// torus and cylinder enumerations produce the CoordInto reference's edges
+// in the same order over random node ranges, length-1 and length-2 axes
+// included.
+func TestOdometerMatchesCoordOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		s := make(Shape, 1+r.Intn(4))
+		for i := range s {
+			s[i] = 1 + r.Intn(6)
+		}
+		n := s.Nodes()
+		lo := r.Intn(n + 1)
+		hi := lo + r.Intn(n-lo+1)
+		if trial%10 == 0 {
+			lo, hi = 0, n
+		}
+		k := len(s) - 1
+		for _, c := range []struct {
+			name  string
+			wraps func(int) bool
+			each  func(lo, hi int, fn func(Edge))
+		}{
+			{"mesh", nil, s.EachEdgeRange},
+			{"torus", func(int) bool { return true }, s.EachTorusEdgeRange},
+			{"cylinder", func(i int) bool { return i == k }, s.EachCylinderEdgeRange},
+		} {
+			var got []Edge
+			c.each(lo, hi, func(e Edge) { got = append(got, e) })
+			want := coordEdgeRange(s, c.wraps, lo, hi)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %v [%d,%d): odometer edges\n %v\nwant\n %v", c.name, s, lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// TestEdgeRangePanicsPastNodes keeps the out-of-range guard the per-node
+// CoordInto used to give: a range past the last node panics instead of
+// wrapping the odometer.
+func TestEdgeRangePanicsPastNodes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("EachEdgeRange past the last node did not panic")
+		}
+	}()
+	Shape{2, 3}.EachEdgeRange(0, 7, func(Edge) {})
 }

@@ -92,8 +92,10 @@ const maxCompareNodes = 1 << 20
 // Config tunes a Server.  The zero value is usable: defaults are filled in
 // by New.
 type Config struct {
-	// Workers bounds the metrics-engine parallelism per measurement
-	// (values below one mean GOMAXPROCS, as in internal/sweep).
+	// Workers bounds the parallelism of a compare's simnet rounds and of
+	// the fabric chunks this server executes (values below one mean
+	// GOMAXPROCS, as in internal/sweep).  Each measurement runs on its
+	// request's goroutine.
 	Workers int
 	// CacheSize bounds the LRU of fully-measured results (default 1024;
 	// negative disables caching).
@@ -614,7 +616,7 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 	if err != nil {
 		return nil, fmt.Errorf("embedserver: built an invalid embedding: %w", err)
 	}
-	res.metrics = e.MeasureParallelCtx(ctx, s.cfg.Workers)
+	res.metrics = e.MeasureCtx(ctx)
 	res.measured = true
 	res.hostMap = m
 	return res, nil
@@ -727,43 +729,64 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// computeCompare builds the canonical guest with every applicable technique
-// — Gray, snake, the family planner, and (for two-dimensional plain meshes)
-// the reshaping paths of internal/reshape — measures each under the guest
+// computeCompare measures the canonical guest under every applicable
+// technique — Gray, snake, the family planner, and (for two-dimensional
+// plain meshes) the reshaping paths of internal/reshape — under the guest
 // family's edge set, and optionally simulates one stencil-exchange round per
-// technique.
+// technique.  Without simnet each technique is built, measured and dropped
+// before the next is built, so a compare holds one embedding at a time, and
+// the mesh family's Gray row is filled in closed form (embed.GrayMetrics);
+// simnet needs every embedding at once.
 func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mesh.Shape, withSimnet bool) (*cachedResult, error) {
-	bctx, bspan := obs.Start(ctx, "build")
-	gr := embed.Gray(canon)
-	gr.Family = fam
-	sn := core.Snake(canon)
-	sn.Family = fam
-	es := map[string]*embed.Embedding{
-		"gray":  gr,
-		"snake": sn,
-	}
-	p, err := s.planFor(bctx, fam, canon)
+	p, err := s.planFor(ctx, fam, canon)
 	if err != nil {
-		bspan.End()
 		return nil, err
 	}
-	es["decomposition"] = p.Build()
-	if fam == guest.Mesh && canon.Dims() == 2 {
-		es["rowmajor"] = reshape.RowMajor(canon)
-		if f := reshape.BestFold(canon); f != nil {
-			es["fold"] = f
+	inFamily := func(build func(mesh.Shape) *embed.Embedding) func() *embed.Embedding {
+		return func() *embed.Embedding {
+			e := build(canon)
+			e.Family = fam
+			return e
 		}
 	}
-	bspan.End()
-	names := make([]string, 0, len(es))
-	for name := range es {
+	builders := map[string]func() *embed.Embedding{
+		"gray":          inFamily(embed.Gray),
+		"snake":         inFamily(core.Snake),
+		"decomposition": p.Build,
+	}
+	if fam == guest.Mesh && canon.Dims() == 2 {
+		builders["rowmajor"] = func() *embed.Embedding { return reshape.RowMajor(canon) }
+		// nil when no fold fits the minimal cube: the row is left out.
+		builders["fold"] = func() *embed.Embedding { return reshape.BestFold(canon) }
+	}
+	names := make([]string, 0, len(builders))
+	for name := range builders {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var es map[string]*embed.Embedding
+	if withSimnet {
+		es = make(map[string]*embed.Embedding, len(builders))
+	}
 	resp := &CompareResponse{Version: APIVersion}
 	for _, name := range names {
 		tctx, tspan := obs.Start(ctx, "technique:"+name)
-		m := es[name].MeasureParallelCtx(tctx, s.cfg.Workers)
+		var m embed.Metrics
+		if name == "gray" && fam == guest.Mesh && !withSimnet {
+			m = embed.GrayMetrics(canon)
+		} else {
+			_, bspan := obs.Start(tctx, "build")
+			e := builders[name]()
+			bspan.End()
+			if e == nil {
+				tspan.End()
+				continue
+			}
+			m = e.MeasureCtx(tctx)
+			if es != nil {
+				es[name] = e
+			}
+		}
 		tspan.End()
 		resp.Rows = append(resp.Rows, CompareRow{Technique: name, Metrics: api.Metrics(m)})
 	}

@@ -268,6 +268,34 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompareRowsIndependentOfSimnet checks that a compare without simnet
+// — one technique built at a time, the mesh Gray row in closed form —
+// serves the rows a simnet compare measures from all its embeddings.
+func TestCompareRowsIndependentOfSimnet(t *testing.T) {
+	s := New(Config{})
+	cases := []struct {
+		fam   guest.Family
+		shape string
+	}{
+		{guest.Mesh, "1x1x1"}, {guest.Mesh, "1x2"}, {guest.Mesh, "12x20"}, {guest.Mesh, "5x6x7"},
+		{guest.Mesh, "2x1x9"}, {guest.Torus, "6x10"}, {guest.Cylinder, "3x4x6"}, {guest.Tree, "15"},
+	}
+	for _, c := range cases {
+		canon, _ := guest.Get(c.fam).Canonical(mesh.MustParse(c.shape))
+		lean, err := s.computeCompare(context.Background(), c.fam, canon, false)
+		if err != nil {
+			t.Fatalf("%v %s: %v", c.fam, canon, err)
+		}
+		full, err := s.computeCompare(context.Background(), c.fam, canon, true)
+		if err != nil {
+			t.Fatalf("%v %s simnet: %v", c.fam, canon, err)
+		}
+		if !slices.Equal(lean.compare.Rows, full.compare.Rows) {
+			t.Errorf("%v %s:\n rows %+v\n simnet rows %+v", c.fam, canon, lean.compare.Rows, full.compare.Rows)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	h := New(Config{}).Handler()
 	cases := []struct {
